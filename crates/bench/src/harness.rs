@@ -1,7 +1,7 @@
 //! Experiment trait, scale control, timing and parallel-sweep helpers.
 
 use mbta_util::table::Table;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// How big the experiment grids are.
@@ -77,11 +77,11 @@ where
     crossbeam::scope(|s| {
         for _ in 0..threads {
             s.spawn(|_| loop {
-                let item = work.lock().pop();
+                let item = work.lock().expect("a sweep worker panicked").pop();
                 match item {
                     Some((i, t)) => {
                         let r = f(t);
-                        results.lock()[i] = Some(r);
+                        results.lock().expect("a sweep worker panicked")[i] = Some(r);
                     }
                     None => break,
                 }
@@ -91,6 +91,7 @@ where
     .expect("worker thread panicked");
     results
         .into_inner()
+        .expect("a sweep worker panicked")
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()

@@ -25,17 +25,13 @@ usage:
   mbta solve --inject-faults [--instances N] [--deadline-ms N] [--seed N]
   mbta gen-trace --out FILE [--profile P] [--workers N] [--tasks N]
                  [--degree F] [--dims N] [--seed N] [--horizon F] [--repeats N]
-  mbta serve  --trace FILE [--shards N] [--threads N] [--batch-max N]
-              [--batch-bytes N] [--flush-ms F] [--queue-cap N]
+  mbta serve  --trace FILE [service flags] [--batch-max N]
+              [--batch-bytes N] [--flush-ms F]
               [--drop-policy <drop-newest|drop-oldest|defer>]
               [--routing <hash|range|min-cut>] [--boundary-pass]
-              [--replan-threshold F] [--online] [--drift-threshold F]
-              [--budget-ms N] [--drift F]
+              [--replan-threshold F] [--drift F]
               [--poison-shard S] [--max-wall-ms N] [--decisions FILE]
-              [--metrics-out FILE] [--metrics-every N]
-              [--wal-dir DIR] [--snapshot-every N]
-              [--fsync <always|batch|never>] [--group-commit N]
-              [--listen ADDR]
+              [--metrics-out FILE] [--metrics-every N] [--listen ADDR]
   mbta replay --trace FILE [serve flags; deterministic budgets]
   mbta plan-stats --trace FILE [--shards N,N,...]
   mbta recover --trace FILE --wal-dir DIR
@@ -45,11 +41,8 @@ usage:
   mbta send   --addr ADDR (--trace FILE | --status) [--batch N]
               [--namespace N] [--drift F] [--connect-wait-ms N]
   mbta shard-worker --traces FILE,FILE,... --shard S --shards N
-              [--listen ADDR] [--routing <hash|range|min-cut>]
-              [--placements FILE] [--wal-dir DIR] [--group-commit N]
-              [--fsync <always|batch|never>] [--snapshot-every N]
-              [--queue-cap N] [--threads N] [--online]
-              [--drift-threshold F] [--budget-ms N] [--linger-ms N]
+              [--routing <hash|range|min-cut>] [--placements FILE]
+              [service flags] [--listen ADDR] [--linger-ms N]
               [--decisions-dir DIR]
   mbta route  --traces FILE,FILE,... --owners ADDR,ADDR,...
               [--listen ADDR] [--routing <hash|range|min-cut>]
@@ -63,7 +56,15 @@ usage:
                    [--order <id|random|best-first|best-last>] [--seed N]
   mbta report FILE [--algorithm A] [--combiner C] [--top K]
   mbta topk FILE [--k N] [--combiner C]
-  mbta help";
+  mbta help
+
+service flags (serve, replay and shard-worker parse them alike):
+  [--shards N] [--threads N] [--queue-cap N] [--online]
+  [--drift-threshold F] [--budget-ms N] [--wal-dir DIR]
+  [--snapshot-every N] [--fsync <always|batch|never>] [--group-commit N]
+  --budget-ms 0 means deterministic solves (default 50; replay always is)
+  --drift-threshold needs --online (default 0.2)
+  --snapshot-every defaults to 64; it, --fsync and --group-commit need --wal-dir";
 
 /// Degradation policy for robust solves (`--fallback`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,24 +76,94 @@ pub enum FallbackMode {
     Chain,
 }
 
-/// Options shared by `serve` and `replay`.
+/// Service flags shared by `serve`, `replay` and `shard-worker`. One set
+/// of match arms parses them and one pass validates them, so every
+/// command that takes a flag gives it the same default, range and error.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeOpts {
-    /// Trace file produced by `gen-trace` (or `TraceFile::render`).
-    pub trace: PathBuf,
+pub struct ServiceFlags {
     /// Shard count.
     pub shards: usize,
     /// Solver-pool width for touched-shard solves (`0` = one worker per
     /// available hardware thread; `1` = the exact sequential path).
     pub threads: usize,
+    /// Ingress queue capacity.
+    pub queue_cap: usize,
+    /// Per-event online decision path: bypass the batcher, decide on every
+    /// event, and journal one WAL record per deciding event. Incompatible
+    /// with `--boundary-pass`.
+    pub online: bool,
+    /// With `--online`: fraction of a shard's matched weight that may
+    /// drift before the warm-started exact fallback fires.
+    pub drift_threshold: f64,
+    /// Per-batch wall-clock solve budget in ms (`0` = deterministic,
+    /// unbudgeted solves; `replay` is always deterministic).
+    pub budget_ms: u64,
+    /// Journal to a write-ahead log in this directory (must be empty or
+    /// nonexistent; `mbta recover` reads it back). A shard-worker
+    /// journals namespace `i` under `ns-<i>`.
+    pub wal_dir: Option<PathBuf>,
+    /// With `--wal-dir`: write a full-state snapshot every N batches
+    /// (`0` = only the final seal).
+    pub snapshot_every: u64,
+    /// With `--wal-dir`: fsync policy for WAL appends.
+    pub fsync: FsyncPolicy,
+    /// With `--wal-dir`: group-commit window — buffer N records per
+    /// combined WAL write (`1` = write-through).
+    pub group_commit: u64,
+}
+
+impl Default for ServiceFlags {
+    fn default() -> Self {
+        ServiceFlags {
+            shards: 4,
+            threads: 0,
+            queue_cap: 4096,
+            online: false,
+            drift_threshold: 0.2,
+            budget_ms: 50,
+            wal_dir: None,
+            snapshot_every: 64,
+            fsync: FsyncPolicy::Batch,
+            group_commit: 1,
+        }
+    }
+}
+
+/// Cluster topology flags shared by `route` and `shard-worker`: the
+/// values that must match on the router and on every worker.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopologyFlags {
+    /// Ordered tenant trace list (list order is the namespace mapping).
+    pub traces: Vec<PathBuf>,
+    /// Task-to-shard routing.
+    pub routing: Routing,
+    /// Placement file pinning the plans (see `route --save-placements`).
+    pub placements: Option<PathBuf>,
+}
+
+impl Default for TopologyFlags {
+    fn default() -> Self {
+        TopologyFlags {
+            traces: Vec::new(),
+            routing: Routing::HashId,
+            placements: None,
+        }
+    }
+}
+
+/// Options shared by `serve` and `replay`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeOpts {
+    /// Trace file produced by `gen-trace` (or `TraceFile::render`).
+    pub trace: PathBuf,
+    /// The service flags shared with `shard-worker`.
+    pub service: ServiceFlags,
     /// Batch count watermark.
     pub batch_max: usize,
     /// Batch byte watermark.
     pub batch_bytes: usize,
     /// Batch time watermark, in trace time units.
     pub flush_ms: f64,
-    /// Ingress queue capacity.
-    pub queue_cap: usize,
     /// Ingress overload policy.
     pub drop_policy: DropPolicy,
     /// Task-to-shard routing.
@@ -103,16 +174,6 @@ pub struct ServeOpts {
     /// Re-plan the shard layout at a batch boundary once the live cut
     /// fraction has degraded past this much above the plan's baseline.
     pub replan_threshold: Option<f64>,
-    /// Per-event online decision path: bypass the batcher, decide on every
-    /// event, and journal one WAL record per deciding event. Incompatible
-    /// with `--boundary-pass`.
-    pub online: bool,
-    /// With `--online`: fraction of a shard's matched weight that may
-    /// drift before the warm-started exact fallback fires.
-    pub drift_threshold: f64,
-    /// Per-batch wall-clock solve budget in ms (`serve` only; `replay`
-    /// always runs deterministic, unbudgeted solves).
-    pub budget_ms: u64,
     /// Benefit-drift injection rate in [0, 1] (0 = lifecycle events only).
     pub drift: f64,
     /// Pre-poison one shard (fault-injection demo): its solves degrade to
@@ -129,17 +190,6 @@ pub struct ServeOpts {
     /// With `--metrics-out`: overwrite the snapshot file with an interval
     /// delta every N batches (a scrape target, not a log).
     pub metrics_every: Option<u64>,
-    /// Journal every batch to a write-ahead log in this directory (must
-    /// be empty or nonexistent; `mbta recover` reads it back).
-    pub wal_dir: Option<PathBuf>,
-    /// With `--wal-dir`: write a full-state snapshot every N batches
-    /// (`0` = only the final seal).
-    pub snapshot_every: u64,
-    /// With `--wal-dir`: fsync policy for WAL appends.
-    pub fsync: FsyncPolicy,
-    /// With `--wal-dir`: group-commit window — buffer N records per
-    /// combined WAL write (`1` = write-through).
-    pub group_commit: u64,
     /// Accept events over framed TCP on this address instead of reading
     /// them from the trace (the trace still defines the market universe).
     pub listen: Option<String>,
@@ -194,39 +244,16 @@ pub struct SendOpts {
 /// Options for `mbta shard-worker` (one cluster shard-owner process).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardWorkerOpts {
-    /// Ordered tenant trace list — the shared cluster topology. Must be
-    /// identical (same order) on the router and every worker.
-    pub traces: Vec<PathBuf>,
+    /// The cluster topology; must match the router's.
+    pub topology: TopologyFlags,
+    /// The service flags shared with `serve`; `shards` is the cluster
+    /// plan's shard count.
+    pub service: ServiceFlags,
     /// The one shard this worker owns.
     pub shard: usize,
-    /// Total shards in the cluster plan.
-    pub shards: usize,
     /// Listen address (`127.0.0.1:0` binds an ephemeral port, printed on
     /// startup).
     pub listen: String,
-    /// Task-to-shard routing (must match the router's).
-    pub routing: Routing,
-    /// Placement file pinning the plans (see `route --save-placements`).
-    pub placements: Option<PathBuf>,
-    /// Per-owner WAL root; namespace `i` journals under `ns-<i>`.
-    pub wal_dir: Option<PathBuf>,
-    /// With `--wal-dir`: fsync policy for WAL appends.
-    pub fsync: FsyncPolicy,
-    /// With `--wal-dir`: group-commit window (records per combined WAL
-    /// write; 1 = write-through).
-    pub group_commit: u64,
-    /// With `--wal-dir`: snapshot cadence in committed batches.
-    pub snapshot_every: u64,
-    /// Ingress queue capacity.
-    pub queue_cap: usize,
-    /// Solver threads per namespace service.
-    pub threads: usize,
-    /// Per-event online dispatch instead of micro-batching.
-    pub online: bool,
-    /// With `--online`: drift fraction triggering the exact fallback.
-    pub drift_threshold: f64,
-    /// Per-batch wall-clock solve budget in ms (`0` = deterministic).
-    pub budget_ms: u64,
     /// How long to keep answering `QUERY_REPORT` after the FIN drain.
     pub linger_ms: u64,
     /// Directory for per-namespace decision logs (`ns-<i>.log`).
@@ -236,16 +263,12 @@ pub struct ShardWorkerOpts {
 /// Options for `mbta route` (the cluster router process).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOpts {
-    /// Ordered tenant trace list — must match the workers'.
-    pub traces: Vec<PathBuf>,
+    /// The cluster topology; must match the workers'.
+    pub topology: TopologyFlags,
     /// Owner addresses, indexed by shard id (`len` = shard count).
     pub owners: Vec<String>,
     /// Client-facing listen address.
     pub listen: String,
-    /// Task-to-shard routing (must match the workers').
-    pub routing: Routing,
-    /// Placement file pinning the plans.
-    pub placements: Option<PathBuf>,
     /// Export the built plans to this placement file before serving.
     pub save_placements: Option<PathBuf>,
     /// Admission queue capacity.
@@ -537,47 +560,122 @@ fn parse_routing(s: &str) -> Result<Routing, ParseError> {
     }
 }
 
+/// Parse state of [`ServiceFlags`]: the values so far, plus which flags
+/// the command line set, for the cross-flag checks in `finish`.
+#[derive(Default)]
+struct ServiceFlagsParser {
+    flags: ServiceFlags,
+    shards_set: bool,
+    drift_threshold_set: bool,
+    wal_tuning_set: bool,
+}
+
+impl ServiceFlagsParser {
+    /// Consumes `flag` and its value if it is a service flag; `Ok(false)`
+    /// leaves it to the command's own flags.
+    fn accept(&mut self, flag: &str, cur: &mut Cursor<'_>) -> Result<bool, ParseError> {
+        let f = &mut self.flags;
+        match flag {
+            "--shards" => {
+                f.shards = parse_num(flag, cur.value_for(flag)?)?;
+                if f.shards == 0 {
+                    return err("--shards must be >= 1");
+                }
+                self.shards_set = true;
+            }
+            // 0 is allowed: "use the host's available parallelism".
+            "--threads" => f.threads = parse_num(flag, cur.value_for(flag)?)?,
+            "--queue-cap" => {
+                f.queue_cap = parse_num(flag, cur.value_for(flag)?)?;
+                if f.queue_cap == 0 {
+                    return err("--queue-cap must be >= 1");
+                }
+            }
+            "--online" => f.online = true,
+            "--drift-threshold" => {
+                f.drift_threshold = parse_num(flag, cur.value_for(flag)?)?;
+                if !(f.drift_threshold > 0.0 && f.drift_threshold.is_finite()) {
+                    return err("--drift-threshold must be positive and finite");
+                }
+                self.drift_threshold_set = true;
+            }
+            // 0 is allowed: deterministic, unbudgeted solves.
+            "--budget-ms" => f.budget_ms = parse_num(flag, cur.value_for(flag)?)?,
+            "--wal-dir" => f.wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
+            "--snapshot-every" => {
+                f.snapshot_every = parse_num(flag, cur.value_for(flag)?)?;
+                self.wal_tuning_set = true;
+            }
+            "--fsync" => {
+                let v = cur.value_for(flag)?;
+                f.fsync = FsyncPolicy::parse(v).ok_or_else(|| {
+                    ParseError(format!(
+                        "unknown fsync policy '{v}' (try always|batch|never)"
+                    ))
+                })?;
+                self.wal_tuning_set = true;
+            }
+            "--group-commit" => {
+                f.group_commit = parse_num(flag, cur.value_for(flag)?)?;
+                if f.group_commit == 0 {
+                    return err("--group-commit must be >= 1");
+                }
+                self.wal_tuning_set = true;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The checks that span several service flags.
+    fn finish(self) -> Result<ServiceFlags, ParseError> {
+        if self.wal_tuning_set && self.flags.wal_dir.is_none() {
+            return err("--snapshot-every / --fsync / --group-commit need --wal-dir");
+        }
+        if self.drift_threshold_set && !self.flags.online {
+            return err("--drift-threshold needs --online");
+        }
+        Ok(self.flags)
+    }
+}
+
+impl TopologyFlags {
+    /// Consumes `flag` and its value if it is a topology flag; `Ok(false)`
+    /// leaves it to the command's own flags.
+    fn accept(&mut self, flag: &str, cur: &mut Cursor<'_>) -> Result<bool, ParseError> {
+        match flag {
+            "--traces" => self.traces = parse_path_list(flag, cur.value_for(flag)?)?,
+            "--routing" => self.routing = parse_routing(cur.value_for(flag)?)?,
+            "--placements" => self.placements = Some(PathBuf::from(cur.value_for(flag)?)),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseError> {
     let mut trace = None;
-    let mut shards = 4usize;
-    let mut threads = 0usize;
+    let mut service = ServiceFlagsParser::default();
     let mut batch_max = 256usize;
     let mut batch_bytes = 64 * 1024usize;
     let mut flush_ms = 10.0f64;
-    let mut queue_cap = 4096usize;
     let mut drop_policy = DropPolicy::Defer;
     let mut routing = Routing::HashId;
     let mut boundary_pass = false;
     let mut replan_threshold = None;
-    let mut online = false;
-    let mut drift_threshold = 0.2f64;
-    let mut drift_threshold_set = false;
-    let mut budget_ms = 50u64;
     let mut drift = 0.0f64;
     let mut poison_shard = None;
     let mut max_wall_ms = None;
     let mut decisions = None;
     let mut metrics_out = None;
     let mut metrics_every = None;
-    let mut wal_dir = None;
-    let mut snapshot_every = 64u64;
-    let mut snapshot_every_set = false;
-    let mut fsync = FsyncPolicy::Batch;
-    let mut fsync_set = false;
-    let mut group_commit = 1u64;
-    let mut group_commit_set = false;
     let mut listen = None;
     while let Some(flag) = cur.next() {
+        if service.accept(flag, cur)? {
+            continue;
+        }
         match flag {
             "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--shards" => {
-                shards = parse_num(flag, cur.value_for(flag)?)?;
-                if shards == 0 {
-                    return err("--shards must be >= 1");
-                }
-            }
-            // 0 is allowed: "use the host's available parallelism".
-            "--threads" => threads = parse_num(flag, cur.value_for(flag)?)?,
             "--batch-max" => {
                 batch_max = parse_num(flag, cur.value_for(flag)?)?;
                 if batch_max == 0 {
@@ -594,12 +692,6 @@ fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseE
                 flush_ms = parse_num(flag, cur.value_for(flag)?)?;
                 if !(flush_ms > 0.0 && flush_ms.is_finite()) {
                     return err("--flush-ms must be positive and finite");
-                }
-            }
-            "--queue-cap" => {
-                queue_cap = parse_num(flag, cur.value_for(flag)?)?;
-                if queue_cap == 0 {
-                    return err("--queue-cap must be >= 1");
                 }
             }
             "--drop-policy" => {
@@ -619,21 +711,6 @@ fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseE
                 }
                 replan_threshold = Some(t);
             }
-            "--online" => online = true,
-            "--drift-threshold" => {
-                let t: f64 = parse_num(flag, cur.value_for(flag)?)?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return err("--drift-threshold must be positive and finite");
-                }
-                drift_threshold = t;
-                drift_threshold_set = true;
-            }
-            "--budget-ms" => {
-                budget_ms = parse_num(flag, cur.value_for(flag)?)?;
-                if budget_ms == 0 {
-                    return err("--budget-ms must be >= 1");
-                }
-            }
             "--drift" => {
                 drift = parse_num(flag, cur.value_for(flag)?)?;
                 if !(0.0..=1.0).contains(&drift) {
@@ -651,27 +728,6 @@ fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseE
                 }
                 metrics_every = Some(n);
             }
-            "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--snapshot-every" => {
-                snapshot_every = parse_num(flag, cur.value_for(flag)?)?;
-                snapshot_every_set = true;
-            }
-            "--fsync" => {
-                let v = cur.value_for(flag)?;
-                fsync = FsyncPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown fsync policy '{v}' (try always|batch|never)"
-                    ))
-                })?;
-                fsync_set = true;
-            }
-            "--group-commit" => {
-                group_commit = parse_num(flag, cur.value_for(flag)?)?;
-                if group_commit == 0 {
-                    return err("--group-commit must be >= 1");
-                }
-                group_commit_set = true;
-            }
             "--listen" => listen = Some(cur.value_for(flag)?.to_string()),
             _ => return err(format!("unknown flag for {cmd}: '{flag}'")),
         }
@@ -679,22 +735,20 @@ fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseE
     let Some(trace) = trace else {
         return err(format!("{cmd} requires --trace"));
     };
+    let service = service.finish()?;
     if let Some(s) = poison_shard {
-        if s >= shards {
-            return err(format!("--poison-shard {s} out of range (shards {shards})"));
+        if s >= service.shards {
+            return err(format!(
+                "--poison-shard {s} out of range (shards {})",
+                service.shards
+            ));
         }
     }
     if metrics_every.is_some() && metrics_out.is_none() {
         return err("--metrics-every needs --metrics-out");
     }
-    if wal_dir.is_none() && (snapshot_every_set || fsync_set || group_commit_set) {
-        return err("--snapshot-every / --fsync / --group-commit need --wal-dir");
-    }
-    if online && boundary_pass {
+    if service.online && boundary_pass {
         return err("--online and --boundary-pass are incompatible (the rescue overlay is a batch construct)");
-    }
-    if drift_threshold_set && !online {
-        return err("--drift-threshold needs --online");
     }
     if listen.is_some() {
         if cmd == "replay" {
@@ -711,29 +765,20 @@ fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseE
     }
     Ok(ServeOpts {
         trace,
-        shards,
-        threads,
+        service,
         batch_max,
         batch_bytes,
         flush_ms,
-        queue_cap,
         drop_policy,
         routing,
         boundary_pass,
         replan_threshold,
-        online,
-        drift_threshold,
-        budget_ms,
         drift,
         poison_shard,
         max_wall_ms,
         decisions,
         metrics_out,
         metrics_every,
-        wal_dir,
-        snapshot_every,
-        fsync,
-        group_commit,
         listen,
     })
 }
@@ -849,133 +894,64 @@ fn parse_path_list(flag: &str, v: &str) -> Result<Vec<PathBuf>, ParseError> {
 }
 
 fn parse_shard_worker_opts(cur: &mut Cursor<'_>) -> Result<ShardWorkerOpts, ParseError> {
-    let mut traces = None;
+    let mut topology = TopologyFlags::default();
+    let mut service = ServiceFlagsParser::default();
     let mut shard = None;
-    let mut shards = None;
     let mut listen = "127.0.0.1:0".to_string();
-    let mut routing = Routing::HashId;
-    let mut placements = None;
-    let mut wal_dir = None;
-    let mut fsync = FsyncPolicy::Batch;
-    let mut fsync_set = false;
-    let mut group_commit = 1u64;
-    let mut group_commit_set = false;
-    let mut snapshot_every = 0u64;
-    let mut snapshot_every_set = false;
-    let mut queue_cap = 4096usize;
-    let mut threads = 0usize;
-    let mut online = false;
-    let mut drift_threshold = 0.2f64;
-    let mut budget_ms = 50u64;
     let mut linger_ms = 3_000u64;
     let mut decisions_dir = None;
     while let Some(flag) = cur.next() {
+        if topology.accept(flag, cur)? || service.accept(flag, cur)? {
+            continue;
+        }
         match flag {
-            "--traces" => traces = Some(parse_path_list(flag, cur.value_for(flag)?)?),
             "--shard" => shard = Some(parse_num(flag, cur.value_for(flag)?)?),
-            "--shards" => {
-                let n: usize = parse_num(flag, cur.value_for(flag)?)?;
-                if n == 0 {
-                    return err("--shards must be >= 1");
-                }
-                shards = Some(n);
-            }
             "--listen" => listen = cur.value_for(flag)?.to_string(),
-            "--routing" => routing = parse_routing(cur.value_for(flag)?)?,
-            "--placements" => placements = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--fsync" => {
-                let v = cur.value_for(flag)?;
-                fsync = FsyncPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown fsync policy '{v}' (try always|batch|never)"
-                    ))
-                })?;
-                fsync_set = true;
-            }
-            "--group-commit" => {
-                group_commit = parse_num(flag, cur.value_for(flag)?)?;
-                if group_commit == 0 {
-                    return err("--group-commit must be >= 1");
-                }
-                group_commit_set = true;
-            }
-            "--snapshot-every" => {
-                snapshot_every = parse_num(flag, cur.value_for(flag)?)?;
-                snapshot_every_set = true;
-            }
-            "--queue-cap" => {
-                queue_cap = parse_num(flag, cur.value_for(flag)?)?;
-                if queue_cap == 0 {
-                    return err("--queue-cap must be >= 1");
-                }
-            }
-            "--threads" => threads = parse_num(flag, cur.value_for(flag)?)?,
-            "--online" => online = true,
-            "--drift-threshold" => {
-                drift_threshold = parse_num(flag, cur.value_for(flag)?)?;
-                if !drift_threshold.is_finite() || drift_threshold <= 0.0 {
-                    return err("--drift-threshold must be a positive number");
-                }
-            }
-            "--budget-ms" => budget_ms = parse_num(flag, cur.value_for(flag)?)?,
             "--linger-ms" => linger_ms = parse_num(flag, cur.value_for(flag)?)?,
             "--decisions-dir" => decisions_dir = Some(PathBuf::from(cur.value_for(flag)?)),
             _ => return err(format!("unknown flag for shard-worker: '{flag}'")),
         }
     }
-    let Some(traces) = traces else {
+    if topology.traces.is_empty() {
         return err("shard-worker requires --traces");
-    };
+    }
     let Some(shard) = shard else {
         return err("shard-worker requires --shard");
     };
-    let Some(shards) = shards else {
+    if !service.shards_set {
         return err("shard-worker requires --shards");
-    };
-    if shard >= shards {
+    }
+    let service = service.finish()?;
+    if shard >= service.shards {
         return err(format!(
-            "--shard {shard} out of range for --shards {shards}"
+            "--shard {shard} out of range for --shards {}",
+            service.shards
         ));
     }
-    if wal_dir.is_none() && (fsync_set || group_commit_set || snapshot_every_set) {
-        return err("--snapshot-every / --fsync / --group-commit need --wal-dir");
-    }
     Ok(ShardWorkerOpts {
-        traces,
+        topology,
+        service,
         shard,
-        shards,
         listen,
-        routing,
-        placements,
-        wal_dir,
-        fsync,
-        group_commit,
-        snapshot_every,
-        queue_cap,
-        threads,
-        online,
-        drift_threshold,
-        budget_ms,
         linger_ms,
         decisions_dir,
     })
 }
 
 fn parse_route_opts(cur: &mut Cursor<'_>) -> Result<RouteOpts, ParseError> {
-    let mut traces = None;
+    let mut topology = TopologyFlags::default();
     let mut owners: Option<Vec<String>> = None;
     let mut listen = "127.0.0.1:0".to_string();
-    let mut routing = Routing::HashId;
-    let mut placements = None;
     let mut save_placements = None;
     let mut queue_cap = 4096usize;
     let mut batch = 128usize;
     let mut owner_retry_ms = 2_000u64;
     let mut report_wait_ms = 10_000u64;
     while let Some(flag) = cur.next() {
+        if topology.accept(flag, cur)? {
+            continue;
+        }
         match flag {
-            "--traces" => traces = Some(parse_path_list(flag, cur.value_for(flag)?)?),
             "--owners" => {
                 let list: Vec<String> = cur
                     .value_for(flag)?
@@ -989,8 +965,6 @@ fn parse_route_opts(cur: &mut Cursor<'_>) -> Result<RouteOpts, ParseError> {
                 owners = Some(list);
             }
             "--listen" => listen = cur.value_for(flag)?.to_string(),
-            "--routing" => routing = parse_routing(cur.value_for(flag)?)?,
-            "--placements" => placements = Some(PathBuf::from(cur.value_for(flag)?)),
             "--save-placements" => save_placements = Some(PathBuf::from(cur.value_for(flag)?)),
             "--queue-cap" => {
                 queue_cap = parse_num(flag, cur.value_for(flag)?)?;
@@ -1009,18 +983,16 @@ fn parse_route_opts(cur: &mut Cursor<'_>) -> Result<RouteOpts, ParseError> {
             _ => return err(format!("unknown flag for route: '{flag}'")),
         }
     }
-    let Some(traces) = traces else {
+    if topology.traces.is_empty() {
         return err("route requires --traces");
-    };
+    }
     let Some(owners) = owners else {
         return err("route requires --owners");
     };
     Ok(RouteOpts {
-        traces,
+        topology,
         owners,
         listen,
-        routing,
-        placements,
         save_placements,
         queue_cap,
         batch,
@@ -1442,12 +1414,12 @@ mod tests {
             panic!("wrong command: {cmd:?}");
         };
         assert_eq!(
-            o.traces,
+            o.topology.traces,
             vec![PathBuf::from("a.trace"), PathBuf::from("b.trace")]
         );
-        assert_eq!((o.shard, o.shards), (1, 4));
-        assert_eq!(o.routing, Routing::MinCut);
-        assert_eq!(o.group_commit, 8);
+        assert_eq!((o.shard, o.service.shards), (1, 4));
+        assert_eq!(o.topology.routing, Routing::MinCut);
+        assert_eq!(o.service.group_commit, 8);
         assert_eq!(o.listen, "127.0.0.1:0");
 
         let cmd = parse(&sv(&[
@@ -1491,6 +1463,57 @@ mod tests {
         .is_err());
         assert!(parse(&sv(&["route", "--traces", "t"])).is_err());
         assert!(parse(&sv(&["route", "--owners", "x:1"])).is_err());
+    }
+
+    /// `serve`, `replay` and `shard-worker` share one parser for the
+    /// service flags: every row gives all three the same `ServiceFlags`
+    /// or the same error text.
+    #[test]
+    fn service_flags_parse_alike_on_every_command() {
+        fn service_flags(cmd: &str, flags: &[&str]) -> Result<ServiceFlags, ParseError> {
+            let mut argv = match cmd {
+                "shard-worker" => sv(&[cmd, "--traces", "t", "--shard", "0", "--shards", "4"]),
+                _ => sv(&[cmd, "--trace", "t"]),
+            };
+            argv.extend(sv(flags));
+            match parse(&argv)? {
+                Command::Serve(o) | Command::Replay(o) => Ok(o.service),
+                Command::ShardWorker(o) => Ok(o.service),
+                other => panic!("wrong command: {other:?}"),
+            }
+        }
+        // (flags, whether they parse)
+        let rows: &[(&[&str], bool)] = &[
+            (&[], true),
+            (&["--shards", "8"], true),
+            (&["--shards", "0"], false),
+            (&["--threads", "3"], true),
+            (&["--threads", "-1"], false),
+            (&["--queue-cap", "128"], true),
+            (&["--queue-cap", "0"], false),
+            (&["--online", "--drift-threshold", "0.35"], true),
+            (&["--drift-threshold", "0.1"], false),
+            (&["--online", "--drift-threshold", "inf"], false),
+            (&["--budget-ms", "0"], true),
+            (&["--budget-ms", "20"], true),
+            (&["--budget-ms", "-5"], false),
+            (&["--wal-dir", "w"], true),
+            (&["--wal-dir"], false),
+            (&["--wal-dir", "w", "--snapshot-every", "16"], true),
+            (&["--snapshot-every", "16"], false),
+            (&["--wal-dir", "w", "--fsync", "always"], true),
+            (&["--wal-dir", "w", "--fsync", "sometimes"], false),
+            (&["--wal-dir", "w", "--group-commit", "8"], true),
+            (&["--wal-dir", "w", "--group-commit", "0"], false),
+        ];
+        for &(flags, ok) in rows {
+            let serve = service_flags("serve", flags);
+            assert_eq!(serve.is_ok(), ok, "serve {flags:?}: {serve:?}");
+            for cmd in ["replay", "shard-worker"] {
+                assert_eq!(service_flags(cmd, flags), serve, "{cmd} {flags:?}");
+            }
+        }
+        assert_eq!(service_flags("serve", &[]), Ok(ServiceFlags::default()));
     }
 
     #[test]
@@ -1672,8 +1695,8 @@ mod tests {
                 assert_eq!(o.trace, PathBuf::from("t.trace"));
                 assert_eq!(o.batch_max, 256);
                 assert_eq!(o.flush_ms, 10.0);
-                assert_eq!(o.shards, 4);
-                assert_eq!(o.threads, 2);
+                assert_eq!(o.service.shards, 4);
+                assert_eq!(o.service.threads, 2);
                 assert_eq!(o.drop_policy, DropPolicy::DropOldest);
                 assert_eq!(o.routing, Routing::Range);
                 assert_eq!(o.drift, 0.2);
@@ -1687,8 +1710,11 @@ mod tests {
         match parse(&sv(&["replay", "--trace", "t.trace"])).unwrap() {
             Command::Replay(o) => {
                 // Defaults.
-                assert_eq!(o.shards, 4);
-                assert_eq!(o.threads, 0, "--threads defaults to host parallelism");
+                assert_eq!(o.service.shards, 4);
+                assert_eq!(
+                    o.service.threads, 0,
+                    "--threads defaults to host parallelism"
+                );
                 assert_eq!(o.batch_max, 256);
                 assert_eq!(o.drop_policy, DropPolicy::Defer);
                 assert_eq!(o.routing, Routing::HashId);
@@ -1785,22 +1811,22 @@ mod tests {
         .unwrap()
         {
             Command::Serve(o) => {
-                assert!(o.online);
-                assert_eq!(o.drift_threshold, 0.35);
+                assert!(o.service.online);
+                assert_eq!(o.service.drift_threshold, 0.35);
             }
             _ => panic!("wrong command"),
         }
         // Defaults: batch mode, threshold present but inert.
         match parse(&sv(&["serve", "--trace", "t.trace"])).unwrap() {
             Command::Serve(o) => {
-                assert!(!o.online);
-                assert_eq!(o.drift_threshold, 0.2);
+                assert!(!o.service.online);
+                assert_eq!(o.service.drift_threshold, 0.2);
             }
             _ => panic!("wrong command"),
         }
         // `replay` accepts the online flags (a deterministic online re-run).
         match parse(&sv(&["replay", "--trace", "t.trace", "--online"])).unwrap() {
-            Command::Replay(o) => assert!(o.online),
+            Command::Replay(o) => assert!(o.service.online),
             _ => panic!("wrong command"),
         }
         // The threshold needs the mode, must be positive/finite, and the
@@ -1871,10 +1897,10 @@ mod tests {
         .unwrap()
         {
             Command::Serve(o) => {
-                assert_eq!(o.wal_dir, Some(PathBuf::from("/tmp/wal")));
-                assert_eq!(o.snapshot_every, 16);
-                assert_eq!(o.fsync, FsyncPolicy::Always);
-                assert_eq!(o.group_commit, 8);
+                assert_eq!(o.service.wal_dir, Some(PathBuf::from("/tmp/wal")));
+                assert_eq!(o.service.snapshot_every, 16);
+                assert_eq!(o.service.fsync, FsyncPolicy::Always);
+                assert_eq!(o.service.group_commit, 8);
             }
             _ => panic!("wrong command"),
         }
@@ -1882,10 +1908,10 @@ mod tests {
         // write-through appends.
         match parse(&sv(&["serve", "--trace", "t.trace"])).unwrap() {
             Command::Serve(o) => {
-                assert_eq!(o.wal_dir, None);
-                assert_eq!(o.snapshot_every, 64);
-                assert_eq!(o.fsync, FsyncPolicy::Batch);
-                assert_eq!(o.group_commit, 1);
+                assert_eq!(o.service.wal_dir, None);
+                assert_eq!(o.service.snapshot_every, 64);
+                assert_eq!(o.service.fsync, FsyncPolicy::Batch);
+                assert_eq!(o.service.group_commit, 1);
             }
             _ => panic!("wrong command"),
         }

@@ -1,8 +1,10 @@
 //! Command implementations.
 
 use crate::args::{
-    Command, FallbackMode, FollowOpts, RouteOpts, SendOpts, ServeOpts, ShardWorkerOpts, USAGE,
+    Command, FallbackMode, FollowOpts, RouteOpts, SendOpts, ServeOpts, ServiceFlags,
+    ShardWorkerOpts, USAGE,
 };
+use mbta_cluster::WorkerConfig;
 use mbta_core::algorithms::solve;
 use mbta_core::budget::{greedy_budgeted, lagrangian_budgeted};
 use mbta_core::engine::{solve_robust, EngineConfig, EngineError, QualityTier};
@@ -22,8 +24,8 @@ use mbta_net::{
 };
 use mbta_service::{
     recover, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, Decision, DecisionSink,
-    DeferBackoff, DispatchService, DurableStore, NullSink, OfferOutcome, OnlineConfig,
-    RecoveredState, ServiceConfig, ServiceReport, ShardPlan, StoreConfig, WriteSink,
+    DeferBackoff, DispatchService, DurableStore, OfferOutcome, OnlineConfig, RecoveredState,
+    ServiceConfig, ServiceReport, ShardPlan, StoreConfig, WriteSink,
 };
 use mbta_store::{heartbeat_age, heartbeat_touch, FollowerState, TailStatus, WalTail};
 use mbta_telemetry::{MetricValue, RegistryDiff, Snapshot};
@@ -500,30 +502,85 @@ fn render_snapshot_file(snap: &Snapshot, path: &Path) -> String {
     }
 }
 
-/// Tees interval telemetry deltas out of the batch stream: every `every`
-/// batches, the registry delta since the previous write overwrites
-/// `path` (the file is a scrape target, not a log). The final cumulative
-/// snapshot lands after the run via `run_service`.
-struct MetricsTee<'a, S> {
-    inner: &'a mut S,
-    path: &'a Path,
-    every: u64,
+/// The one sink `serve` and `replay` run with: the `--decisions` log (or
+/// nothing), with interval telemetry teed out of the batch stream. With
+/// `--metrics-every`, every N batches the registry delta since the
+/// previous write overwrites `--metrics-out` (a scrape target, not a log,
+/// so the counters survive a `kill -9`); the final cumulative snapshot
+/// lands after the run via `run_service`.
+struct RunSink<'a> {
+    log: Option<WriteSink<io::BufWriter<fs::File>>>,
+    scrape: Option<(&'a Path, u64)>,
     seen: u64,
     diff: RegistryDiff,
-    error: Option<io::Error>,
+    scrape_error: Option<io::Error>,
 }
 
-impl<S: DecisionSink> DecisionSink for MetricsTee<'_, S> {
+impl<'a> RunSink<'a> {
+    fn open(opts: &'a ServeOpts) -> Result<Self, Box<dyn Error>> {
+        let log = match &opts.decisions {
+            Some(path) => Some(WriteSink::new(io::BufWriter::new(fs::File::create(path)?))),
+            None => None,
+        };
+        Ok(RunSink {
+            log,
+            scrape: opts.metrics_out.as_deref().zip(opts.metrics_every),
+            seen: 0,
+            diff: RegistryDiff::new(),
+            scrape_error: None,
+        })
+    }
+
+    /// Reports the first write error of the run and flushes the log.
+    fn close(self) -> Result<(), Box<dyn Error>> {
+        if let (Some((path, _)), Some(e)) = (self.scrape, self.scrape_error) {
+            return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
+        }
+        if let Some(mut log) = self.log {
+            if let Some(e) = log.error.take() {
+                return Err(Box::new(e));
+            }
+            log.into_inner().flush()?;
+        }
+        Ok(())
+    }
+}
+
+impl DecisionSink for RunSink<'_> {
     fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
-        self.inner.on_batch(stats, decisions);
+        if let Some(log) = &mut self.log {
+            log.on_batch(stats, decisions);
+        }
+        let Some((path, every)) = self.scrape else {
+            return;
+        };
         self.seen += 1;
-        if self.error.is_none() && self.seen.is_multiple_of(self.every) {
+        if self.scrape_error.is_none() && self.seen.is_multiple_of(every) {
             let delta = self.diff.advance(mbta_telemetry::global().snapshot());
-            if let Err(e) = fs::write(self.path, render_snapshot_file(&delta, self.path)) {
-                self.error = Some(e);
+            if let Err(e) = fs::write(path, render_snapshot_file(&delta, path)) {
+                self.scrape_error = Some(e);
             }
         }
     }
+}
+
+/// A fresh service over `plan`, with the `--poison-shard` fault injected
+/// and the WAL attached.
+fn start_service<'p>(
+    g: &'p BipartiteGraph,
+    plan: &'p ShardPlan,
+    cfg: &ServiceConfig,
+    poison_shard: Option<usize>,
+    store: Option<DurableStore>,
+) -> DispatchService<'p> {
+    let mut svc = DispatchService::new(g, plan, cfg.clone());
+    if let Some(s) = poison_shard {
+        svc.poison_shard(s);
+    }
+    if let Some(store) = store {
+        svc.attach_store(store);
+    }
+    svc
 }
 
 /// Streams every arrival through the service, pumping between offers so
@@ -548,16 +605,7 @@ fn drive<S: DecisionSink>(
     let mut carried = None;
     loop {
         let mut svc = match carried.take() {
-            None => {
-                let mut svc = DispatchService::new(g, &plan, cfg.clone());
-                if let Some(s) = poison_shard {
-                    svc.poison_shard(s);
-                }
-                if let Some(store) = store.take() {
-                    svc.attach_store(store);
-                }
-                svc
-            }
+            None => start_service(g, &plan, cfg, poison_shard, store.take()),
             Some(c) => DispatchService::resume(g, &plan, c, sink),
         };
         while idx < events.len() {
@@ -623,66 +671,61 @@ fn drive_net<S: DecisionSink>(
     Ok(svc.finish(sink))
 }
 
-/// [`drive_net`], wrapped in a [`MetricsTee`] when interval scraping was
-/// requested — the tee keeps overwriting the snapshot file during the
-/// run, so the counters survive a `kill -9` of the primary.
-fn drive_net_metered<S: DecisionSink>(
-    svc: DispatchService<'_>,
-    ingress: &NetIngress,
-    wal_dir: Option<&Path>,
-    sink: &mut S,
-    opts: &ServeOpts,
-) -> Result<ServiceReport, Box<dyn Error>> {
-    match (&opts.metrics_out, opts.metrics_every) {
-        (Some(path), Some(every)) => {
-            let mut tee = MetricsTee {
-                inner: sink,
-                path,
-                every,
-                seen: 0,
-                diff: RegistryDiff::new(),
-                error: None,
-            };
-            let report = drive_net(svc, ingress, wal_dir, &mut tee)?;
-            if let Some(e) = tee.error {
-                return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
-            }
-            Ok(report)
-        }
-        _ => drive_net(svc, ingress, wal_dir, sink),
+/// The service configuration of a `serve` or `replay` run. `replay` and
+/// `--budget-ms 0` both mean deterministic solves.
+fn service_config(o: &ServeOpts, deterministic: bool) -> ServiceConfig {
+    let f = &o.service;
+    ServiceConfig {
+        batch: BatchConfig {
+            max_events: o.batch_max,
+            max_bytes: o.batch_bytes,
+            flush_interval: o.flush_ms,
+        },
+        queue_cap: f.queue_cap,
+        drop_policy: o.drop_policy,
+        budget: if deterministic || f.budget_ms == 0 {
+            BudgetMode::Deterministic
+        } else {
+            BudgetMode::Wallclock(f.budget_ms)
+        },
+        threads: f.threads,
+        boundary_pass: o.boundary_pass,
+        replan_threshold: o.replan_threshold,
+        online: f.online.then_some(OnlineConfig {
+            drift_threshold: f.drift_threshold,
+        }),
+        owned_shard: None,
     }
 }
 
-/// [`drive`], wrapped in a [`MetricsTee`] when interval scraping was
-/// requested via `--metrics-out` + `--metrics-every`.
-#[allow(clippy::too_many_arguments)]
-fn drive_metered<S: DecisionSink>(
-    g: &BipartiteGraph,
-    plan: ShardPlan,
-    cfg: &ServiceConfig,
-    poison_shard: Option<usize>,
-    store: Option<DurableStore>,
-    events: &[Arrival],
-    sink: &mut S,
-    opts: &ServeOpts,
-) -> Result<ServiceReport, Box<dyn Error>> {
-    match (&opts.metrics_out, opts.metrics_every) {
-        (Some(path), Some(every)) => {
-            let mut tee = MetricsTee {
-                inner: sink,
-                path,
-                every,
-                seen: 0,
-                diff: RegistryDiff::new(),
-                error: None,
-            };
-            let report = drive(g, plan, cfg, poison_shard, store, events, &mut tee);
-            if let Some(e) = tee.error {
-                return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
-            }
-            Ok(report)
-        }
-        _ => Ok(drive(g, plan, cfg, poison_shard, store, events, sink)),
+/// The WAL configuration the service flags ask for.
+fn store_config(f: &ServiceFlags) -> StoreConfig {
+    StoreConfig {
+        fsync: f.fsync,
+        snapshot_every: f.snapshot_every,
+        group_every: f.group_commit,
+        ..StoreConfig::default()
+    }
+}
+
+/// The cluster worker configuration of a `shard-worker` run.
+fn worker_config(o: &ShardWorkerOpts) -> WorkerConfig {
+    let f = &o.service;
+    WorkerConfig {
+        listen: o.listen.clone(),
+        routing: o.topology.routing,
+        placements: o.topology.placements.clone(),
+        wal_dir: f.wal_dir.clone(),
+        fsync: f.fsync,
+        group_commit: f.group_commit,
+        snapshot_every: f.snapshot_every,
+        queue_cap: f.queue_cap,
+        threads: f.threads,
+        online: f.online.then_some(f.drift_threshold),
+        budget_ms: f.budget_ms,
+        linger_ms: o.linger_ms,
+        decisions_dir: o.decisions_dir.clone(),
+        ..WorkerConfig::new(o.topology.traces.clone(), o.shard, f.shards)
     }
 }
 
@@ -696,38 +739,12 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
     let tf = TraceFile::parse(&text)?;
     let g = tf.spec.generate().realize(&BenefitParams::default())?;
     let weights = edge_weights(&g, Combiner::balanced());
-    let plan = ShardPlan::build(&g, &weights, opts.shards, opts.routing);
-
-    let cfg = ServiceConfig {
-        batch: BatchConfig {
-            max_events: opts.batch_max,
-            max_bytes: opts.batch_bytes,
-            flush_interval: opts.flush_ms,
-        },
-        queue_cap: opts.queue_cap,
-        drop_policy: opts.drop_policy,
-        budget: if deterministic {
-            BudgetMode::Deterministic
-        } else {
-            BudgetMode::Wallclock(opts.budget_ms)
-        },
-        threads: opts.threads,
-        boundary_pass: opts.boundary_pass,
-        replan_threshold: opts.replan_threshold,
-        online: opts.online.then_some(OnlineConfig {
-            drift_threshold: opts.drift_threshold,
-        }),
-        owned_shard: None,
-    };
-    let store = match &opts.wal_dir {
+    let plan = ShardPlan::build(&g, &weights, opts.service.shards, opts.routing);
+    let cfg = service_config(opts, deterministic);
+    let wal_dir = opts.service.wal_dir.as_deref();
+    let store = match wal_dir {
         Some(dir) => {
-            let store_cfg = StoreConfig {
-                fsync: opts.fsync,
-                snapshot_every: opts.snapshot_every,
-                group_every: opts.group_commit,
-                ..StoreConfig::default()
-            };
-            let (store, recovered) = DurableStore::open(dir, store_cfg)
+            let (store, recovered) = DurableStore::open(dir, store_config(&opts.service))
                 .map_err(|e| format!("cannot open WAL dir {}: {e}", dir.display()))?;
             if recovered.watermark != 0 {
                 // Resuming a half-served trace would double-apply its prefix;
@@ -745,45 +762,27 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         None => None,
     };
 
+    let mut sink = RunSink::open(opts)?;
     let report = if let Some(addr) = &opts.listen {
         // The network loop pulls events as they arrive and never detaches,
         // so the initial plan lives for the whole run.
-        let mut svc = DispatchService::new(&g, &plan, cfg);
-        if let Some(s) = opts.poison_shard {
-            svc.poison_shard(s);
-        }
-        if let Some(store) = store {
-            svc.attach_store(store);
-        }
+        let svc = start_service(&g, &plan, &cfg, opts.poison_shard, store);
         // Network ingress: the trace defines the universe, the events
         // arrive over TCP. Heartbeat before binding, so any follower that
         // can see the socket can also see a beat.
-        if let Some(dir) = &opts.wal_dir {
+        if let Some(dir) = wal_dir {
             heartbeat_touch(dir)
                 .map_err(|e| format!("cannot write heartbeat in {}: {e}", dir.display()))?;
         }
         let ingress = NetIngress::bind(NetConfig {
             addr: addr.clone(),
-            queue_cap: opts.queue_cap,
+            queue_cap: opts.service.queue_cap,
             seed: tf.spec.seed,
             ..NetConfig::default()
         })
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
         println!("serve: listening on {}", ingress.local_addr());
-        let report = match &opts.decisions {
-            Some(path) => {
-                let file = fs::File::create(path)?;
-                let mut sink = WriteSink::new(io::BufWriter::new(file));
-                let report =
-                    drive_net_metered(svc, &ingress, opts.wal_dir.as_deref(), &mut sink, opts)?;
-                if let Some(e) = sink.error.take() {
-                    return Err(Box::new(e));
-                }
-                sink.into_inner().flush()?;
-                report
-            }
-            None => drive_net_metered(svc, &ingress, opts.wal_dir.as_deref(), &mut NullSink, opts)?,
-        };
+        let report = drive_net(svc, &ingress, wal_dir, &mut sink)?;
         let s = ingress.stats();
         let mut t = Table::new(
             format!("net ingress: {}", ingress.local_addr()),
@@ -810,38 +809,9 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         } else {
             base.collect()
         };
-        match &opts.decisions {
-            Some(path) => {
-                let file = fs::File::create(path)?;
-                let mut sink = WriteSink::new(io::BufWriter::new(file));
-                let report = drive_metered(
-                    &g,
-                    plan,
-                    &cfg,
-                    opts.poison_shard,
-                    store,
-                    &events,
-                    &mut sink,
-                    opts,
-                )?;
-                if let Some(e) = sink.error.take() {
-                    return Err(Box::new(e));
-                }
-                sink.into_inner().flush()?;
-                report
-            }
-            None => drive_metered(
-                &g,
-                plan,
-                &cfg,
-                opts.poison_shard,
-                store,
-                &events,
-                &mut NullSink,
-                opts,
-            )?,
-        }
+        drive(&g, plan, &cfg, opts.poison_shard, store, &events, &mut sink)
     };
+    sink.close()?;
 
     // The final write is the cumulative run snapshot (replacing the last
     // interval delta, if any) — what the CI smoke test greps and what
@@ -1207,22 +1177,8 @@ fn run_send(o: &SendOpts) -> Result<(), Box<dyn Error>> {
 /// until the router FINs, then prints per-namespace reports. Fails if any
 /// namespace ended with capacity violations.
 fn run_shard_worker(o: &ShardWorkerOpts) -> Result<(), Box<dyn Error>> {
-    let mut cfg = mbta_cluster::WorkerConfig::new(o.traces.clone(), o.shard, o.shards);
-    cfg.listen = o.listen.clone();
-    cfg.routing = o.routing;
-    cfg.placements = o.placements.clone();
-    cfg.wal_dir = o.wal_dir.clone();
-    cfg.fsync = o.fsync;
-    cfg.group_commit = o.group_commit;
-    cfg.snapshot_every = o.snapshot_every;
-    cfg.queue_cap = o.queue_cap;
-    cfg.threads = o.threads;
-    cfg.online = o.online.then_some(o.drift_threshold);
-    cfg.budget_ms = o.budget_ms;
-    cfg.linger_ms = o.linger_ms;
-    cfg.decisions_dir = o.decisions_dir.clone();
-
-    let (shard, shards) = (o.shard, o.shards);
+    let cfg = worker_config(o);
+    let (shard, shards) = (o.shard, o.service.shards);
     let summary = mbta_cluster::worker::run(cfg, |addr| {
         // Stable one-line banner (scripts grep the address out of it).
         println!("shard-worker: shard {shard}/{shards} listening on {addr}");
@@ -1279,16 +1235,16 @@ fn run_route(o: &RouteOpts) -> Result<(), Box<dyn Error>> {
     let cfg = mbta_cluster::RouterConfig {
         listen: o.listen.clone(),
         owners: o.owners.clone(),
-        traces: o.traces.clone(),
-        routing: o.routing,
-        placements: o.placements.clone(),
+        traces: o.topology.traces.clone(),
+        routing: o.topology.routing,
+        placements: o.topology.placements.clone(),
         save_placements: o.save_placements.clone(),
         queue_cap: o.queue_cap,
         batch: o.batch,
         owner_retry_ms: o.owner_retry_ms,
         report_wait_ms: o.report_wait_ms,
     };
-    let (n_owners, n_tenants) = (o.owners.len(), o.traces.len());
+    let (n_owners, n_tenants) = (o.owners.len(), o.topology.traces.len());
     let summary = mbta_cluster::router::run(cfg, |addr| {
         println!("route: listening on {addr} ({n_owners} owners, {n_tenants} tenants)");
     })?;
@@ -1489,29 +1445,23 @@ mod tests {
     fn small_serve_opts(trace: PathBuf, decisions: Option<PathBuf>) -> ServeOpts {
         ServeOpts {
             trace,
-            shards: 4,
-            threads: 2,
+            service: ServiceFlags {
+                threads: 2,
+                ..ServiceFlags::default()
+            },
             batch_max: 64,
             batch_bytes: 1 << 20,
             flush_ms: 5.0,
-            queue_cap: 4096,
             drop_policy: mbta_service::DropPolicy::Defer,
             routing: mbta_service::Routing::HashId,
             boundary_pass: false,
             replan_threshold: None,
-            online: false,
-            drift_threshold: 0.2,
-            budget_ms: 50,
             drift: 0.1,
             poison_shard: None,
             max_wall_ms: None,
             decisions,
             metrics_out: None,
             metrics_every: None,
-            wal_dir: None,
-            snapshot_every: 64,
-            fsync: mbta_service::FsyncPolicy::Batch,
-            group_commit: 1,
             listen: None,
         }
     }
@@ -1535,9 +1485,9 @@ mod tests {
         let dir = tmp("walserve.wal");
         let _ = std::fs::remove_dir_all(&dir);
         let mut opts = small_serve_opts(trace.clone(), None);
-        opts.wal_dir = Some(dir.clone());
-        opts.snapshot_every = 8;
-        opts.fsync = mbta_service::FsyncPolicy::Never;
+        opts.service.wal_dir = Some(dir.clone());
+        opts.service.snapshot_every = 8;
+        opts.service.fsync = mbta_service::FsyncPolicy::Never;
         run(Command::Replay(opts.clone())).unwrap();
 
         // The sealed run recovers cleanly and validates against the trace.
@@ -1577,12 +1527,12 @@ mod tests {
         let dir = tmp("online-serve.wal");
         let _ = std::fs::remove_dir_all(&dir);
         let mut opts = small_serve_opts(trace.clone(), None);
-        opts.online = true;
-        opts.drift_threshold = 0.1;
+        opts.service.online = true;
+        opts.service.drift_threshold = 0.1;
         opts.drift = 0.3;
-        opts.wal_dir = Some(dir.clone());
-        opts.snapshot_every = 8;
-        opts.fsync = mbta_service::FsyncPolicy::Never;
+        opts.service.wal_dir = Some(dir.clone());
+        opts.service.snapshot_every = 8;
+        opts.service.fsync = mbta_service::FsyncPolicy::Never;
         run(Command::Replay(opts)).unwrap();
 
         // The per-event journal recovers cleanly and validates against
@@ -1623,9 +1573,9 @@ mod tests {
         };
 
         let mut opts = small_serve_opts(trace.clone(), None);
-        opts.wal_dir = Some(dir.clone());
-        opts.snapshot_every = 8;
-        opts.fsync = mbta_service::FsyncPolicy::Never;
+        opts.service.wal_dir = Some(dir.clone());
+        opts.service.snapshot_every = 8;
+        opts.service.fsync = mbta_service::FsyncPolicy::Never;
         opts.drift = 0.0; // with --listen, drift is woven by the sender
         opts.listen = Some(addr.clone());
         let primary =
@@ -1803,8 +1753,8 @@ mod tests {
             o.routing = mbta_service::Routing::MinCut;
             o.boundary_pass = true;
             o.replan_threshold = Some(0.01);
-            o.shards = 8;
-            o.threads = threads;
+            o.service.shards = 8;
+            o.service.threads = threads;
             o.drift = 0.3;
             o
         };

@@ -202,7 +202,8 @@ impl NetIngress {
     }
 
     /// Pops the oldest admitted event and its namespace tag, waiting up
-    /// to `timeout` for one to arrive. `None` on timeout. Single-tenant
+    /// to `timeout` for one to arrive. `None` on timeout, or at once when
+    /// the queue is empty and a client has sent `FIN`. Single-tenant
     /// drivers can ignore the tag (their clients always send ns 0).
     pub fn pop_wait(&self, timeout: Duration) -> Option<(u32, Arrival)> {
         let mut nq = self.shared.queue.lock().unwrap();
@@ -210,10 +211,13 @@ impl NetIngress {
             let ns = nq.tags.pop_front().expect("tags tracks queue in lockstep");
             return Some((ns, a));
         }
+        let fin = &self.shared.fin;
         let (mut nq, _) = self
             .shared
             .ready
-            .wait_timeout_while(nq, timeout, |nq| nq.q.is_empty())
+            .wait_timeout_while(nq, timeout, |nq| {
+                nq.q.is_empty() && !fin.load(Ordering::Acquire)
+            })
             .unwrap();
         let a = nq.q.pop()?;
         let ns = nq.tags.pop_front().expect("tags tracks queue in lockstep");
@@ -367,9 +371,11 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
                 }
             }
             Ok(Request::Fin) => {
+                // Stored under the queue lock, so a drainer cannot check
+                // the flag and then park past this wake-up.
+                let guard = shared.queue.lock().expect("ingress queue lock poisoned");
                 shared.fin.store(true, Ordering::Release);
-                // Wake a drainer parked on an empty queue so it can
-                // observe the fin.
+                drop(guard);
                 shared.ready.notify_all();
                 let _ = send_reply(&mut stream, &Reply::Ok { accepted: 0 });
                 return;

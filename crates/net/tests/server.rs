@@ -9,7 +9,7 @@ use mbta_net::{
 use mbta_service::{Arrival, DeferBackoff, ServiceEvent};
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn ev(id: u32) -> Arrival {
     Arrival {
@@ -69,6 +69,30 @@ fn batch_flows_through_in_order_and_fin_drains() {
     assert_eq!(stats.accepted, 10);
     assert!(stats.frames >= 2);
     assert!(stats.bytes_in > 0);
+}
+
+#[test]
+fn fin_ends_a_pending_pop_wait() {
+    let server = NetIngress::bind(test_cfg(64)).unwrap();
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| server.pop_wait(Duration::from_secs(5)));
+        // Give the waiter time to park on the empty queue. Had it not
+        // parked yet, the FIN must still end the wait, so the checks
+        // below hold either way.
+        std::thread::sleep(Duration::from_millis(100));
+        let fin_sent = Instant::now();
+        let mut client = connect(&server);
+        assert_eq!(
+            client.request(&Request::Fin).unwrap(),
+            Reply::Ok { accepted: 0 }
+        );
+        assert_eq!(waiter.join().unwrap(), None);
+        let waited = fin_sent.elapsed();
+        assert!(
+            waited < Duration::from_millis(200),
+            "pop_wait outlived the FIN by {waited:?}"
+        );
+    });
 }
 
 #[test]
