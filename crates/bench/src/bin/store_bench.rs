@@ -13,7 +13,7 @@
 //! cargo run -p mbta-bench --release --bin store_bench -- --merge BENCH_service.json
 //! ```
 
-use mbta_store::record::{BatchRecord, DecisionRecord, WeightDelta};
+use mbta_store::record::{BatchRecord, DecisionRecord, WalRecord, WeightDelta};
 use mbta_store::snapshot::{self, SnapshotState};
 use mbta_store::store::recover;
 use mbta_store::wal::{FsyncPolicy, Wal, WalConfig};
@@ -38,7 +38,7 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 /// One deterministic, realistically sized batch record.
-fn record(seq: u64, rng: &mut SplitMix64) -> BatchRecord {
+fn record(seq: u64, rng: &mut SplitMix64) -> WalRecord {
     let deltas = (0..DELTAS_PER_RECORD)
         .map(|_| WeightDelta {
             edge: (rng.next_u64() as u32) % EDGE_SPACE,
@@ -58,14 +58,14 @@ fn record(seq: u64, rng: &mut SplitMix64) -> BatchRecord {
             }
         })
         .collect();
-    BatchRecord {
+    WalRecord::Batch(BatchRecord {
         seq,
         first_time: seq as f64,
         last_time: seq as f64 + 0.5,
         events: 24,
         deltas,
         decisions,
-    }
+    })
 }
 
 struct AppendRun {
@@ -84,7 +84,7 @@ struct AppendRun {
 fn bench_append(
     policy: FsyncPolicy,
     group_every: u64,
-    recs: &[BatchRecord],
+    recs: &[WalRecord],
 ) -> std::io::Result<AppendRun> {
     let dir = tmp(&format!("{}-g{group_every}", policy.name()));
     let mut wal = Wal::open(
@@ -124,7 +124,7 @@ struct RecoveryRun {
 /// Writes the workload once (batch fsync), snapshots the mid-point state,
 /// then times a full cold recovery (snapshot load + WAL-tail replay) —
 /// the post-crash `mbta recover` path.
-fn bench_recovery(recs: &[BatchRecord]) -> std::io::Result<RecoveryRun> {
+fn bench_recovery(recs: &[WalRecord]) -> std::io::Result<RecoveryRun> {
     let dir = tmp("recover");
     let mut wal = Wal::open(
         &dir,
@@ -258,7 +258,7 @@ fn main() -> ExitCode {
     }
 
     let mut rng = SplitMix64::new(7);
-    let recs: Vec<BatchRecord> = (0..RECORDS).map(|seq| record(seq, &mut rng)).collect();
+    let recs: Vec<WalRecord> = (0..RECORDS).map(|seq| record(seq, &mut rng)).collect();
     let payload: usize = recs.iter().map(|r| r.encode().len()).sum();
     eprintln!(
         "workload: {RECORDS} records, {} payload bytes ({} per record)",

@@ -28,11 +28,10 @@
 //! DESIGN.md §14 for the full contract.
 
 use crate::shard::ShardPlan;
-use crate::sink::Decision;
+use crate::sink::{canonical_order, Action, Decision};
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::{WarmSolver, WarmSolverStats};
+use mbta_core::warm::WarmSolver;
 use mbta_graph::EdgeId;
-use mbta_telemetry::Histogram;
 
 /// Tunables for the per-event online decision path.
 ///
@@ -81,18 +80,12 @@ pub(crate) struct ShardOnline {
 }
 
 /// The service's online-mode runtime: per-shard warm/drift state plus
-/// the run counters that survive re-plans via [`OnlineCarried`].
+/// the pooled per-event buffers. It is rebuilt for every plan's topology;
+/// the online run counters live in the service's run state, which a
+/// re-plan carries over whole.
 pub(crate) struct OnlineRuntime {
     pub cfg: OnlineConfig,
     pub shards: Vec<ShardOnline>,
-    pub events: u64,
-    pub fallbacks: u64,
-    pub exchanges: u64,
-    /// Warm-solver counters accumulated before the last re-plan (the
-    /// solvers themselves are rebuilt for each plan's topology).
-    prior_warm: WarmSolverStats,
-    /// Per-event decision latency (wall-clock ms).
-    pub lat: Histogram,
     /// Pooled per-event buffers (see [`OnlineScratch`]).
     pub scratch: OnlineScratch,
 }
@@ -100,10 +93,10 @@ pub(crate) struct OnlineRuntime {
 /// Pooled working buffers for the per-event decision path. The flip
 /// log, its parity fold, and the outgoing decision list are the Vecs a
 /// profile shows on every online event; owning them here and recycling
-/// them (`mem::take` out for the event, hand back cleared) makes the
-/// steady-state path allocation-free once the buffers have grown to the
-/// event-size high-water mark. Capacity is deliberately *not* carried
-/// across a re-plan — shard topology changes reset the water mark too.
+/// them (cleared, never freed) makes the steady-state path
+/// allocation-free once the buffers have grown to the event-size
+/// high-water mark. Capacity is deliberately *not* carried across a
+/// re-plan — shard topology changes reset the water mark too.
 #[derive(Default)]
 pub(crate) struct OnlineScratch {
     /// Raw flips drained for the current event (greedy + fallback).
@@ -117,12 +110,12 @@ pub(crate) struct OnlineScratch {
 }
 
 impl OnlineScratch {
-    /// Folds `flips` by parity into the pooled `net` buffer and returns
-    /// it — the same contract as `net_flips` (the test oracle below),
-    /// minus the allocations.
-    pub fn fold(&mut self, flips: &[(EdgeId, bool)]) -> &[(EdgeId, bool)] {
+    /// Folds the pooled `flips` by parity into the pooled `net` buffer
+    /// and returns it — the same contract as `net_flips` (the test oracle
+    /// below), minus the allocations.
+    pub fn fold(&mut self) -> &[(EdgeId, bool)] {
         self.sorted.clear();
-        self.sorted.extend_from_slice(flips);
+        self.sorted.extend_from_slice(&self.flips);
         // Stable sort: chronological order within each edge survives.
         self.sorted.sort_by_key(|&(e, _)| e);
         self.net.clear();
@@ -140,6 +133,22 @@ impl OnlineScratch {
         }
         &self.net
     }
+
+    /// Folds the pooled `flips` and maps each net change through `decide`
+    /// into the pooled `decisions` buffer, in canonical log order.
+    pub fn decide(&mut self, decide: impl Fn(EdgeId, Action) -> Decision) {
+        self.fold();
+        self.decisions.clear();
+        for &(e, added) in &self.net {
+            let action = if added {
+                Action::Assign
+            } else {
+                Action::Unassign
+            };
+            self.decisions.push(decide(e, action));
+        }
+        canonical_order(&mut self.decisions);
+    }
 }
 
 impl OnlineRuntime {
@@ -156,11 +165,6 @@ impl OnlineRuntime {
                     acc: 0.0,
                 })
                 .collect(),
-            events: 0,
-            fallbacks: 0,
-            exchanges: 0,
-            prior_warm: WarmSolverStats::default(),
-            lat: Histogram::new(),
             scratch: OnlineScratch::default(),
         }
     }
@@ -170,55 +174,6 @@ impl OnlineRuntime {
     pub fn fallback_due(&self, s: usize, shard_weight: f64) -> bool {
         self.shards[s].acc > self.cfg.drift_threshold * shard_weight.max(1.0)
     }
-
-    /// Lifetime warm-solver counters: the current solvers plus whatever
-    /// pre-replan solvers accumulated.
-    pub fn warm_totals(&self) -> WarmSolverStats {
-        let mut t = self.prior_warm;
-        for sh in &self.shards {
-            let s = sh.warm.stats();
-            t.solves += s.solves;
-            t.warm_hits += s.warm_hits;
-            t.audited_cold += s.audited_cold;
-            t.iterations += s.iterations;
-        }
-        t
-    }
-
-    /// Extracts the plan-independent half for a detach → resume cycle.
-    pub fn detach(self) -> OnlineCarried {
-        let warm = self.warm_totals();
-        OnlineCarried {
-            cfg: self.cfg,
-            events: self.events,
-            fallbacks: self.fallbacks,
-            exchanges: self.exchanges,
-            warm,
-            lat: self.lat,
-        }
-    }
-
-    /// Rebuilds the runtime over a new plan from carried counters. The
-    /// warm solvers start cold — the shard topologies changed.
-    pub fn resume(c: OnlineCarried, plan: &ShardPlan) -> Self {
-        let mut rt = OnlineRuntime::new(c.cfg, plan);
-        rt.events = c.events;
-        rt.fallbacks = c.fallbacks;
-        rt.exchanges = c.exchanges;
-        rt.prior_warm = c.warm;
-        rt.lat = c.lat;
-        rt
-    }
-}
-
-/// Plan-independent online counters carried across a re-plan.
-pub(crate) struct OnlineCarried {
-    cfg: OnlineConfig,
-    events: u64,
-    fallbacks: u64,
-    exchanges: u64,
-    warm: WarmSolverStats,
-    lat: Histogram,
 }
 
 /// Folds a raw flip log into net per-edge decisions. Flips for one edge
@@ -231,7 +186,11 @@ pub(crate) struct OnlineCarried {
 /// survives only as the test oracle for the fold.
 #[cfg(test)]
 pub(crate) fn net_flips(flips: &[(EdgeId, bool)]) -> Vec<(EdgeId, bool)> {
-    OnlineScratch::default().fold(flips).to_vec()
+    let mut scratch = OnlineScratch {
+        flips: flips.to_vec(),
+        ..OnlineScratch::default()
+    };
+    scratch.fold().to_vec()
 }
 
 /// Depth-1 exchange for an unassigned edge whose endpoints are
@@ -341,7 +300,9 @@ mod tests {
             vec![(eid(9), false)],
         ];
         for log in &logs {
-            assert_eq!(scratch.fold(log), net_flips(log).as_slice());
+            scratch.flips.clear();
+            scratch.flips.extend_from_slice(log);
+            assert_eq!(scratch.fold(), net_flips(log).as_slice());
         }
     }
 
@@ -376,20 +337,5 @@ mod tests {
         st.set_weight(eid(1), 0.5);
         assert!(!try_exchange(&mut st, eid(1)));
         assert!(st.edge_assigned(eid(0)));
-    }
-
-    #[test]
-    fn runtime_detach_resume_carries_counters() {
-        let g = from_edges(&[1], &[1], &[(0, 0, 0.5, 0.5)]);
-        let w = vec![0.5];
-        let plan = ShardPlan::build(&g, &w, 1, crate::shard::Routing::HashId);
-        let mut rt = OnlineRuntime::new(OnlineConfig::default(), &plan);
-        rt.events = 7;
-        rt.fallbacks = 2;
-        rt.exchanges = 1;
-        let rt2 = OnlineRuntime::resume(rt.detach(), &plan);
-        assert_eq!(rt2.events, 7);
-        assert_eq!(rt2.fallbacks, 2);
-        assert_eq!(rt2.exchanges, 1);
     }
 }

@@ -69,9 +69,12 @@ use mbta_graph::subgraph::{induce, SubgraphSpec};
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::Matching;
 use mbta_partition::{migration_diff, residual_candidates, validate_rescue, CutTracker};
-use mbta_store::record::{BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WeightDelta};
+use mbta_store::record::{
+    BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
+};
 use mbta_store::snapshot::SnapshotState;
 use mbta_store::store::DurableStore;
+use mbta_telemetry::Histogram;
 use mbta_util::{CancelToken, Deadline, SolveCtl};
 use std::time::Instant;
 
@@ -181,16 +184,38 @@ impl Default for ServiceConfig {
 pub struct DispatchService<'p> {
     universe: &'p BipartiteGraph,
     plan: &'p ShardPlan,
-    budget: BudgetMode,
-    pool: SolvePool,
     states: Vec<IncrementalAssignment<'p>>,
+    /// The boundary-rescue overlay: sorted universe edge ids currently
+    /// assigned by the rescue market.
+    overlay: Vec<EdgeId>,
+    /// Live intra/cross weight split for drift-driven re-planning.
+    cut: CutTracker,
+    /// Per-shard warm solvers, drift accumulators and pooled buffers of
+    /// the per-event online path (`None` = batch dispatch).
+    online: Option<OnlineRuntime>,
+    /// Everything that outlives the shard plan.
+    run: RunState,
+}
+
+/// The plan-independent half of a dispatch run: configuration, ingress,
+/// solver pool, durability, universe-indexed live state and every report
+/// counter. [`DispatchService::detach`] hands it to [`CarriedState`] whole
+/// and [`DispatchService::resume`] takes it back, so a re-plan copies no
+/// field one at a time.
+struct RunState {
+    cfg: ServiceConfig,
+    pool: SolvePool,
     queue: BoundedQueue,
     batcher: Batcher,
+    /// Per-shard poison marks (cleared when a re-plan changes the shard
+    /// count).
     poisoned: Vec<bool>,
     /// Universe-indexed live weights (benefit updates land here too, so
     /// decisions can report the weight in parent terms).
     live_weights: Vec<f64>,
-    /// Optional durability: when attached, every batch is journaled to
+    /// Cross edges whose endpoints were ever concurrently live.
+    cross_seen: Vec<bool>,
+    /// Optional durability: when attached, every commit is journaled to
     /// the WAL *before* its decisions reach the sink, and full-state
     /// snapshots are written on the store's cadence.
     store: Option<DurableStore>,
@@ -198,30 +223,31 @@ pub struct DispatchService<'p> {
     /// failure (the durable prefix stays valid); the service keeps
     /// dispatching and the report carries the error.
     store_error: Option<std::io::Error>,
+    count: Counters,
+    /// Largest stream timestamp seen on the online path — stamps the
+    /// closing drain records, which have no triggering arrival.
+    last_time: f64,
+    started: Instant,
+}
 
-    /// Boundary-rescue state: the rescue overlay (sorted universe edge
-    /// ids currently assigned by the rescue market) and which cross edges
-    /// were ever offered to it.
-    boundary_pass: bool,
-    overlay: Vec<EdgeId>,
-    cross_seen: Vec<bool>,
-    /// Live intra/cross weight split for drift-driven re-planning.
-    cut: CutTracker,
-    replan_threshold: Option<f64>,
-
-    /// Per-event online decision runtime (`None` = batch dispatch).
-    online: Option<OnlineRuntime>,
-
+/// The run counters behind the [`ServiceReport`].
+#[derive(Default)]
+struct Counters {
+    /// Sequence number of the next commit: batch, online and plan records
+    /// share one sequence space.
     seq: u64,
     events_in: u64,
     events_processed: u64,
     invalid_events: u64,
     cross_benefit_drops: u64,
+    foreign_events: u64,
+    /// Flushes by reason: count, bytes, watermark, drain, online.
     flush_tally: [u64; 5],
     solves: u64,
     tier_tally: [u64; 3],
     degraded_by_shard: Vec<u64>,
-    decisions_out: u64,
+    decisions: u64,
+    reseeds: u64,
     steals: u64,
     rescue_solves: u64,
     rescue_assigns: u64,
@@ -230,22 +256,20 @@ pub struct DispatchService<'p> {
     migrated_workers: u64,
     migrated_tasks: u64,
     /// Set by a `Deferred` offer, cleared by the next admitted one: the
-    /// admitted offer is then a defer-retry success, which used to go
-    /// uncounted.
+    /// admitted offer is then a defer-retry success.
     defer_pending: bool,
     defer_retry_ok: u64,
-    reseeds: u64,
-    /// Per-instance batch solve-latency histogram; the report's p50/p99
-    /// derive from its buckets instead of a private sample buffer.
-    solve_lat: mbta_telemetry::Histogram,
-    /// Single-shard ownership (see [`ServiceConfig::owned_shard`]).
-    owned_shard: Option<usize>,
-    foreign_events: u64,
-
-    /// Largest stream timestamp seen on the online path — stamps the
-    /// closing drain records, which have no triggering arrival.
-    last_time: f64,
-    started: Instant,
+    online_fallbacks: u64,
+    online_exchanges: u64,
+    /// Warm-solver solves and warm hits of the solvers retired so far
+    /// (each re-plan rebuilds them for the new topology).
+    warm_solves: u64,
+    warm_hits: u64,
+    /// Wall time of every batch solve and every warm online solve; the
+    /// report's p50/p99/max solve latency derive from its buckets.
+    solve_lat: Histogram,
+    /// Per-event online decision latency (wall-clock ms).
+    online_lat: Histogram,
 }
 
 /// Where a batch event landed after routing.
@@ -276,57 +300,55 @@ impl<'p> DispatchService<'p> {
                 plan.n_shards()
             );
         }
-        let (mut states, live_weights, cut) = seed_plan_state(universe, plan, None);
-        let online = cfg.online.map(|oc| {
+        let n = plan.n_shards();
+        let live_weights = plan.universe_weights.clone();
+        let (states, cut) = seed_plan_state(universe, plan, &live_weights);
+        let run = RunState {
+            pool: SolvePool::new(cfg.threads),
+            queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
+            batcher: Batcher::new(cfg.batch),
+            poisoned: vec![false; n],
+            live_weights,
+            cross_seen: vec![false; universe.n_edges()],
+            store: None,
+            store_error: None,
+            count: Counters {
+                degraded_by_shard: vec![0; n],
+                ..Counters::default()
+            },
+            last_time: 0.0,
+            started: Instant::now(),
+            cfg,
+        };
+        Self::assemble(universe, plan, states, cut, Vec::new(), run)
+    }
+
+    /// Completes a service over `plan` from its seeded shard states. Online
+    /// mode arms the flip logs only here, so whatever the caller already
+    /// did to `states` (a migration's reseeds) never shows up as per-event
+    /// decisions; the warm solvers start cold on the plan's topology.
+    fn assemble(
+        universe: &'p BipartiteGraph,
+        plan: &'p ShardPlan,
+        mut states: Vec<IncrementalAssignment<'p>>,
+        cut: CutTracker,
+        overlay: Vec<EdgeId>,
+        run: RunState,
+    ) -> Self {
+        let online = run.cfg.online.map(|oc| {
             for st in &mut states {
                 st.enable_log();
             }
             OnlineRuntime::new(oc, plan)
         });
-        let n = plan.n_shards();
         DispatchService {
             universe,
             plan,
-            budget: cfg.budget,
-            pool: SolvePool::new(cfg.threads),
             states,
-            queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
-            batcher: Batcher::new(cfg.batch),
-            poisoned: vec![false; n],
-            live_weights,
-            store: None,
-            store_error: None,
-            boundary_pass: cfg.boundary_pass,
-            overlay: Vec::new(),
-            cross_seen: vec![false; universe.n_edges()],
+            overlay,
             cut,
-            replan_threshold: cfg.replan_threshold,
             online,
-            owned_shard: cfg.owned_shard,
-            seq: 0,
-            events_in: 0,
-            events_processed: 0,
-            invalid_events: 0,
-            cross_benefit_drops: 0,
-            foreign_events: 0,
-            flush_tally: [0; 5],
-            solves: 0,
-            tier_tally: [0; 3],
-            degraded_by_shard: vec![0; n],
-            decisions_out: 0,
-            steals: 0,
-            rescue_solves: 0,
-            rescue_assigns: 0,
-            rescue_violations: 0,
-            replans: 0,
-            migrated_workers: 0,
-            migrated_tasks: 0,
-            defer_pending: false,
-            defer_retry_ok: 0,
-            reseeds: 0,
-            solve_lat: mbta_telemetry::Histogram::new(),
-            last_time: 0.0,
-            started: Instant::now(),
+            run,
         }
     }
 
@@ -343,30 +365,43 @@ impl<'p> DispatchService<'p> {
             0,
             "cannot attach a store with existing journaled state to a fresh service"
         );
-        self.store = Some(store);
+        self.run.store = Some(store);
+    }
+
+    /// Every shard's assigned edges as `(shard, universe edge)` pairs; the
+    /// rescue overlay is not included.
+    fn shard_edges(&self) -> impl Iterator<Item = (usize, EdgeId)> + '_ {
+        let shards = self.plan.shards.iter().zip(&self.states).enumerate();
+        shards.flat_map(|(s, (slice, st))| {
+            let edges = st.matching().edges.into_iter();
+            edges.map(move |e| (s, slice.sub.edge_back[e.index()]))
+        })
+    }
+
+    /// Whether universe worker `w` is live in its shard.
+    fn worker_live(&self, w: WorkerId) -> bool {
+        let s = self.plan.worker_shard[w.index()] as usize;
+        self.states[s].worker_active(WorkerId::new(self.plan.worker_local[w.index()]))
+    }
+
+    /// Whether universe task `t` is live in its shard.
+    fn task_live(&self, t: TaskId) -> bool {
+        let s = self.plan.task_shard[t.index()] as usize;
+        self.states[s].task_active(TaskId::new(self.plan.task_local[t.index()]))
     }
 
     /// Captures the full dispatch state as a snapshot payload: per shard,
     /// the sorted universe edge ids currently assigned, plus the live
     /// weight vector.
     fn snapshot_state(&self, watermark: u64) -> SnapshotState {
-        let mut shards: Vec<Vec<u32>> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .map(|(slice, st)| {
-                let mut edges: Vec<u32> = st
-                    .matching()
-                    .edges
-                    .into_iter()
-                    .map(|e| slice.sub.edge_back[e.index()].raw())
-                    .collect();
-                edges.sort_unstable();
-                edges
-            })
-            .collect();
-        if self.boundary_pass {
+        let mut shards = vec![Vec::new(); self.plan.n_shards()];
+        for (s, e) in self.shard_edges() {
+            shards[s].push(e.raw());
+        }
+        for edges in &mut shards {
+            edges.sort_unstable();
+        }
+        if self.run.cfg.boundary_pass {
             // The rescue overlay snapshots as pseudo-shard `n_shards`,
             // matching the shard id its decisions carry in the WAL.
             shards.push(self.overlay.iter().map(|e| e.raw()).collect());
@@ -374,50 +409,64 @@ impl<'p> DispatchService<'p> {
         SnapshotState {
             watermark,
             shards,
-            weights: self.live_weights.clone(),
+            weights: self.run.live_weights.clone(),
         }
     }
 
-    /// Journals one committed batch (and a snapshot, when due) through
-    /// the attached store. On the first I/O error journaling stops for
-    /// good — the durable prefix on disk stays valid — and the error is
-    /// surfaced in the run report.
-    fn journal(&mut self, rec: BatchRecord) {
-        let Some(mut store) = self.store.take() else {
-            return;
-        };
-        if self.store_error.is_none() {
-            let mut res = store.commit(&rec);
-            if res.is_ok() && store.snapshot_due() {
-                let snap = self.snapshot_state(rec.seq + 1);
-                res = store.snapshot(&snap);
-            }
-            if let Err(e) = res {
-                mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                self.store_error = Some(e);
-            }
+    /// Stats for the next commit, with no shard solves attached.
+    fn next_stats(&self, reason: FlushReason, events: usize, solve_ms: f64) -> BatchStats {
+        BatchStats {
+            seq: self.run.count.seq,
+            reason,
+            events,
+            queue_depth: self.run.queue.len(),
+            shards_touched: 0,
+            degraded_shards: 0,
+            worst_tier: None,
+            solve_ms,
+            invalid_events: 0,
         }
-        self.store = Some(store);
     }
 
-    /// Journals one online record through the attached store, with the
-    /// same first-error-stops-journaling contract as [`Self::journal`].
-    fn journal_online(&mut self, rec: OnlineRecord) {
-        let Some(mut store) = self.store.take() else {
-            return;
-        };
-        if self.store_error.is_none() {
-            let mut res = store.commit_online(&rec);
-            if res.is_ok() && store.snapshot_due() {
-                let snap = self.snapshot_state(rec.seq + 1);
-                res = store.snapshot(&snap);
+    /// The one commit step every decision set goes through — batch,
+    /// per-event, closing drain and re-plan alike. It takes the next
+    /// sequence slot, counts the decisions, journals the record `record`
+    /// builds (plus a snapshot when one is due), and only then hands the
+    /// decisions to the sink: write-ahead ordering, so nothing escapes
+    /// that recovery cannot rebuild. The sink hears of every commit except
+    /// one that consumed no event and changed nothing (a re-plan that
+    /// dropped no edge).
+    ///
+    /// `record` runs only while a store is attached and healthy. On the
+    /// first I/O error journaling stops for good — the durable prefix on
+    /// disk stays valid — and the error is surfaced in the run report.
+    fn commit(
+        &mut self,
+        stats: BatchStats,
+        decisions: &[Decision],
+        record: impl FnOnce(u64, Vec<DecisionRecord>) -> WalRecord,
+        sink: &mut impl DecisionSink,
+    ) {
+        debug_assert_eq!(stats.seq, self.run.count.seq);
+        self.run.count.seq += 1;
+        self.run.count.decisions += decisions.len() as u64;
+        mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
+        if let Some(mut store) = self.run.store.take() {
+            if self.run.store_error.is_none() {
+                let mut res = store.commit(&record(stats.seq, to_records(decisions)));
+                if res.is_ok() && store.snapshot_due() {
+                    res = store.snapshot(&self.snapshot_state(self.run.count.seq));
+                }
+                if let Err(e) = res {
+                    mbta_telemetry::counter_add("mbta_store_errors_total", 1);
+                    self.run.store_error = Some(e);
+                }
             }
-            if let Err(e) = res {
-                mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                self.store_error = Some(e);
-            }
+            self.run.store = Some(store);
         }
-        self.store = Some(store);
+        if stats.events > 0 || !decisions.is_empty() {
+            sink.on_batch(&stats, decisions);
+        }
     }
 
     /// Whether shard `s` has nothing an exact solver could work with.
@@ -426,49 +475,75 @@ impl<'p> DispatchService<'p> {
         g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0
     }
 
-    /// Warm-started exact re-solve of shard `s` (the caller has ruled
-    /// out poisoned and degenerate shards), adopting the solution when
-    /// it improves on the incremental state. Appends the applied flips
-    /// to the caller's (pooled) `out` buffer.
-    fn warm_solve_shard(&mut self, s: usize, ctl: &SolveCtl, out: &mut Vec<(EdgeId, bool)>) {
-        let rt = self.online.as_mut().expect("online solve requires runtime");
+    /// A drift fallback on shard `s`: resets its accumulator and, unless
+    /// the shard is poisoned (it stays on the greedy floor, like its batch
+    /// behavior), re-solves it exactly from a warm start under `ctl`,
+    /// adopting the solution when it improves on the incremental state.
+    /// The applied flips join the pooled flip buffer and the solve's wall
+    /// time the solve-latency histogram. Returns whether it solved.
+    fn fall_back(&mut self, rt: &mut OnlineRuntime, s: usize, ctl: &SolveCtl) -> bool {
+        rt.shards[s].acc = 0.0;
+        self.run.count.online_fallbacks += 1;
+        mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
+        if self.run.poisoned[s] {
+            return false;
+        }
+        let t0 = Instant::now();
         let st = &mut self.states[s];
         let aw = st.active_weights();
-        let sh = &mut rt.shards[s];
-        sh.warm.seed(st.matching());
-        let m = sh.warm.solve(&self.plan.shards[s].sub.graph, &aw, ctl);
+        let warm = &mut rt.shards[s].warm;
+        warm.seed(st.matching());
+        let m = warm.solve(&self.plan.shards[s].sub.graph, &aw, ctl);
         if m.total_weight(&aw) > st.total_weight() + 1e-12 {
             st.reseed(&m)
                 .expect("warm solution is feasible on the active sub-market");
-            self.reseeds += 1;
+            self.run.count.reseeds += 1;
             mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
         }
-        st.drain_log_into(out);
+        st.drain_log_into(&mut rt.scratch.flips);
+        let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+        self.run.count.solve_lat.observe(solve_ms);
+        true
+    }
+
+    /// Folds the pooled flip log of shard `s` into canonical universe-id
+    /// decisions in the pooled decision buffer.
+    fn online_decisions(&self, rt: &mut OnlineRuntime, s: usize) {
+        let edge_back = &self.plan.shards[s].sub.edge_back;
+        let (g, weights) = (self.universe, &self.run.live_weights);
+        rt.scratch.decide(|local, action| {
+            decision(g, weights, s as u32, edge_back[local.index()], action)
+        });
     }
 
     /// The per-event online decision path (see the [`crate::online`]
     /// module docs): apply the event through the shard's incremental
     /// state, attempt a depth-1 exchange for benefit updates, accumulate
     /// drift, fall back to a warm-started exact re-solve past the drift
-    /// threshold, then journal and emit the event's net decisions.
-    fn dispatch_online(&mut self, a: Arrival, sink: &mut impl DecisionSink) {
+    /// threshold, then commit the event's net decisions.
+    fn dispatch_online(
+        &mut self,
+        rt: &mut OnlineRuntime,
+        a: Arrival,
+        sink: &mut impl DecisionSink,
+    ) {
         let t0 = Instant::now();
-        self.last_time = self.last_time.max(a.time);
+        self.run.last_time = self.run.last_time.max(a.time);
         let s = match self.route(&a.event) {
             Routed::Shard(s) => s,
             Routed::Invalid => {
-                self.invalid_events += 1;
+                self.run.count.invalid_events += 1;
                 mbta_telemetry::counter_add("mbta_service_invalid_events_total", 1);
                 return;
             }
             // The rescue overlay is a batch construct; in online mode a
             // cross-shard benefit update has no decision surface.
             Routed::CrossBenefit => {
-                self.cross_benefit_drops += 1;
+                self.run.count.cross_benefit_drops += 1;
                 return;
             }
             Routed::Foreign => {
-                self.foreign_events += 1;
+                self.run.count.foreign_events += 1;
                 mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
                 return;
             }
@@ -482,10 +557,10 @@ impl<'p> DispatchService<'p> {
         let mut drift = 0.0f64;
         if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
             deltas.push(WeightDelta { edge, weight });
-            drift = (weight - self.live_weights[edge as usize]).abs();
+            drift = (weight - self.run.live_weights[edge as usize]).abs();
         }
         self.apply(s, &a.event);
-        self.events_processed += 1;
+        self.run.count.events_processed += 1;
 
         // A benefit update may make its edge newly attractive: take it
         // greedily if capacity allows, else try the depth-1 exchange.
@@ -494,277 +569,148 @@ impl<'p> DispatchService<'p> {
             let st = &mut self.states[s];
             if !st.edge_assigned(local) && !st.try_assign(local) && online::try_exchange(st, local)
             {
-                let rt = self
-                    .online
-                    .as_mut()
-                    .expect("online dispatch requires runtime");
-                rt.exchanges += 1;
+                self.run.count.online_exchanges += 1;
                 mbta_telemetry::counter_add("mbta_service_online_exchanges_total", 1);
             }
         }
 
         // Drift: |Δw| of the update plus every net-removed edge's weight
         // (departures and evictions — plain greedy fills accrue nothing).
-        // The flip and decision buffers are pooled in the runtime:
-        // `mem::take` them out for this event, hand them back cleared.
-        let mut flips = std::mem::take(
-            &mut self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime")
-                .scratch
-                .flips,
-        );
-        flips.clear();
-        self.states[s].drain_log_into(&mut flips);
-        {
-            let rt = self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime");
-            let st = &self.states[s];
-            for &(e, added) in rt.scratch.fold(&flips) {
-                if !added {
-                    drift += st.weight_of(e).max(0.0);
-                }
+        // The flip and decision buffers are pooled in the runtime.
+        rt.scratch.flips.clear();
+        self.states[s].drain_log_into(&mut rt.scratch.flips);
+        let st = &self.states[s];
+        for &(e, added) in rt.scratch.fold() {
+            if !added {
+                drift += st.weight_of(e).max(0.0);
             }
         }
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.events += 1;
         rt.shards[s].acc += drift;
         mbta_telemetry::counter_add("mbta_service_online_events_total", 1);
-        let due = rt.fallback_due(s, self.states[s].total_weight());
+        let due = rt.fallback_due(s, st.total_weight());
 
         // Drift fallback: warm-started exact re-solve of the shard,
         // under the same per-batch budget the batch path gets — the
         // event is on the latency path.
         let mut fell_back = false;
-        if due && !self.poisoned[s] && !self.shard_degenerate(s) {
-            let ctl = match self.budget {
+        if due && (self.run.poisoned[s] || !self.shard_degenerate(s)) {
+            let ctl = match self.run.cfg.budget {
                 BudgetMode::Wallclock(ms) => {
                     SolveCtl::unlimited().with_deadline(Deadline::after_ms(ms))
                 }
                 BudgetMode::Deterministic => SolveCtl::unlimited(),
             };
-            self.warm_solve_shard(s, &ctl, &mut flips);
-            fell_back = true;
+            fell_back = self.fall_back(rt, s, &ctl);
         }
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        if fell_back || (due && self.poisoned[s]) {
-            // A poisoned shard resets its accumulator without solving —
-            // it stays on the greedy floor, like its batch behavior.
-            rt.shards[s].acc = 0.0;
-            rt.fallbacks += 1;
-            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
-        }
-
-        // Net decisions for this event, in universe ids (pooled buffer).
-        let mut decisions = std::mem::take(
-            &mut self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime")
-                .scratch
-                .decisions,
-        );
-        self.online_decisions_into(s, &flips, &mut decisions);
+        self.online_decisions(rt, s);
 
         let event_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.lat.observe(event_ms);
+        self.run.count.online_lat.observe(event_ms);
         mbta_telemetry::observe("mbta_service_online_event_ms", event_ms);
 
         // Events that changed nothing durable consume no sequence slot:
         // the WAL stays contiguous and sinks see only deciding events.
-        if !decisions.is_empty() || !deltas.is_empty() {
+        if !rt.scratch.decisions.is_empty() || !deltas.is_empty() {
+            self.run.count.flush_tally[4] += 1;
             let stats = BatchStats {
-                seq: self.seq,
-                reason: FlushReason::Online,
-                events: 1,
-                queue_depth: self.queue.len(),
                 shards_touched: 1,
-                degraded_shards: 0,
-                worst_tier: None,
-                solve_ms: event_ms,
-                invalid_events: 0,
+                ..self.next_stats(FlushReason::Online, 1, event_ms)
             };
-            self.seq += 1;
-            self.flush_tally[4] += 1;
-            self.decisions_out += decisions.len() as u64;
-            mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
-            // Write-ahead ordering, identical to the batch path: the
-            // record is durable before any decision escapes.
-            if self.store.is_some() {
-                let rec = OnlineRecord {
-                    seq: stats.seq,
+            let record = |seq, decisions| {
+                WalRecord::Online(OnlineRecord {
+                    seq,
                     time: a.time,
                     events: 1,
                     fallbacks: u32::from(fell_back),
                     deltas,
-                    decisions: to_records(&decisions),
-                };
-                self.journal_online(rec);
-            }
-            sink.on_batch(&stats, &decisions);
+                    decisions,
+                })
+            };
+            self.commit(stats, &rt.scratch.decisions, record, sink);
         }
-        self.recycle_online_buffers(flips, decisions);
-    }
-
-    /// Returns the event's pooled buffers to the runtime scratch.
-    fn recycle_online_buffers(
-        &mut self,
-        mut flips: Vec<(EdgeId, bool)>,
-        mut decisions: Vec<Decision>,
-    ) {
-        flips.clear();
-        decisions.clear();
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.scratch.flips = flips;
-        rt.scratch.decisions = decisions;
-    }
-
-    /// Folds shard `s`'s flip log into canonical universe-id decisions,
-    /// written into the pooled `out` buffer (cleared first).
-    fn online_decisions_into(
-        &mut self,
-        s: usize,
-        flips: &[(EdgeId, bool)],
-        out: &mut Vec<Decision>,
-    ) {
-        out.clear();
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online decisions require runtime");
-        let slice = &self.plan.shards[s];
-        for &(local, added) in rt.scratch.fold(flips) {
-            let parent = slice.sub.edge_back[local.index()];
-            out.push(Decision {
-                shard: s as u32,
-                edge: parent.raw(),
-                action: if added {
-                    Action::Assign
-                } else {
-                    Action::Unassign
-                },
-                worker: self.universe.worker_of(parent).raw(),
-                task: self.universe.task_of(parent).raw(),
-                weight: self.live_weights[parent.index()],
-            });
-        }
-        canonical_order(out);
     }
 
     /// The online analog of the batcher's final partial batch: one
     /// closing warm exact solve per healthy shard, so the run converges
     /// before the final report instead of ending wherever drift since
-    /// the last fallback left it. Decisions are journaled and emitted
-    /// exactly like per-event ones (`events: 0` — no arrival triggered
-    /// them), and shards whose closing solve changes nothing consume no
-    /// sequence slot.
+    /// the last fallback left it. Decisions are committed exactly like
+    /// per-event ones (`events: 0` — no arrival triggered them), and
+    /// shards whose closing solve changes nothing consume no sequence
+    /// slot.
     fn drain_online(&mut self, sink: &mut impl DecisionSink) {
-        if self.online.is_none() {
+        let Some(mut rt) = self.online.take() else {
             return;
-        }
+        };
         for s in 0..self.plan.n_shards() {
-            if self.owned_shard.is_some_and(|own| own != s) {
-                continue;
-            }
-            if self.poisoned[s] || self.shard_degenerate(s) {
+            let owned = self.run.cfg.owned_shard.is_none_or(|own| own == s);
+            if !owned || self.run.poisoned[s] || self.shard_degenerate(s) {
                 continue;
             }
             let t0 = Instant::now();
             // Shutdown is off the latency path, so the closing solve runs
             // unbudgeted: a wall-clock budget sized for steady-state events
             // would truncate the one solve whose whole point is to converge.
-            let rt = self.online.as_mut().expect("online drain requires runtime");
-            let mut flips = std::mem::take(&mut rt.scratch.flips);
-            flips.clear();
-            self.warm_solve_shard(s, &SolveCtl::unlimited(), &mut flips);
-            let rt = self.online.as_mut().expect("online drain requires runtime");
-            rt.shards[s].acc = 0.0;
-            rt.fallbacks += 1;
-            let mut decisions = std::mem::take(&mut rt.scratch.decisions);
-            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
-            self.online_decisions_into(s, &flips, &mut decisions);
-            if !decisions.is_empty() {
+            rt.scratch.flips.clear();
+            self.fall_back(&mut rt, s, &SolveCtl::unlimited());
+            self.online_decisions(&mut rt, s);
+            if !rt.scratch.decisions.is_empty() {
+                self.run.count.flush_tally[4] += 1;
+                let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let stats = BatchStats {
-                    seq: self.seq,
-                    reason: FlushReason::Online,
-                    events: 0,
-                    queue_depth: 0,
                     shards_touched: 1,
-                    degraded_shards: 0,
-                    worst_tier: None,
-                    solve_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    invalid_events: 0,
+                    ..self.next_stats(FlushReason::Online, 0, solve_ms)
                 };
-                self.seq += 1;
-                self.flush_tally[4] += 1;
-                self.decisions_out += decisions.len() as u64;
-                mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
-                if self.store.is_some() {
-                    let rec = OnlineRecord {
-                        seq: stats.seq,
-                        time: self.last_time,
+                let time = self.run.last_time;
+                let record = |seq, decisions| {
+                    WalRecord::Online(OnlineRecord {
+                        seq,
+                        time,
                         events: 0,
                         fallbacks: 1,
                         deltas: Vec::new(),
-                        decisions: to_records(&decisions),
-                    };
-                    self.journal_online(rec);
-                }
-                sink.on_batch(&stats, &decisions);
+                        decisions,
+                    })
+                };
+                self.commit(stats, &rt.scratch.decisions, record, sink);
             }
-            self.recycle_online_buffers(flips, decisions);
         }
+        self.online = Some(rt);
     }
 
     /// Marks a shard as poisoned: its solves are pre-cancelled and return
     /// the greedy floor immediately. Sibling shards are unaffected.
     pub fn poison_shard(&mut self, s: usize) {
-        if !self.poisoned[s] {
+        if !self.run.poisoned[s] {
             mbta_telemetry::counter_add("mbta_service_shard_poisoned_total", 1);
         }
-        self.poisoned[s] = true;
+        self.run.poisoned[s] = true;
     }
 
     /// Clears a shard's poison mark.
     pub fn heal_shard(&mut self, s: usize) {
-        if self.poisoned[s] {
+        if self.run.poisoned[s] {
             mbta_telemetry::counter_add("mbta_service_shard_healed_total", 1);
         }
-        self.poisoned[s] = false;
+        self.run.poisoned[s] = false;
     }
 
     /// Offers one arrival to the ingress queue. On [`OfferOutcome::Deferred`]
     /// the caller must [`pump`](Self::pump) and re-offer — nothing was
     /// admitted (and the offer is not counted as an ingress event).
     pub fn offer(&mut self, a: Arrival) -> OfferOutcome {
-        let outcome = self.queue.offer(a);
+        let outcome = self.run.queue.offer(a);
+        let count = &mut self.run.count;
         match outcome {
             OfferOutcome::Deferred => {
-                self.defer_pending = true;
+                count.defer_pending = true;
                 mbta_telemetry::counter_add("mbta_service_deferrals_total", 1);
             }
             admitted => {
-                self.events_in += 1;
+                count.events_in += 1;
                 mbta_telemetry::counter_add("mbta_service_events_total", 1);
-                if self.defer_pending {
-                    self.defer_pending = false;
-                    self.defer_retry_ok += 1;
+                if count.defer_pending {
+                    count.defer_pending = false;
+                    count.defer_retry_ok += 1;
                     mbta_telemetry::counter_add("mbta_service_defer_retry_ok_total", 1);
                 }
                 match admitted {
@@ -787,14 +733,15 @@ impl<'p> DispatchService<'p> {
     /// (dispatching every batch a watermark closes), or event by event
     /// through the online decision path when `online` is configured.
     pub fn pump(&mut self, sink: &mut impl DecisionSink) {
-        if self.online.is_some() {
-            while let Some(a) = self.queue.pop() {
-                self.dispatch_online(a, sink);
+        if let Some(mut rt) = self.online.take() {
+            while let Some(a) = self.run.queue.pop() {
+                self.dispatch_online(&mut rt, a, sink);
             }
+            self.online = Some(rt);
             return;
         }
-        while let Some(a) = self.queue.pop() {
-            if let Some(closed) = self.batcher.offer(a) {
+        while let Some(a) = self.run.queue.pop() {
+            if let Some(closed) = self.run.batcher.offer(a) {
                 self.dispatch(closed, sink);
             }
         }
@@ -804,7 +751,7 @@ impl<'p> DispatchService<'p> {
     /// store is attached. Cheap; safe to read every loop iteration for
     /// status replies.
     pub fn batches_committed(&self) -> u64 {
-        self.seq
+        self.run.count.seq
     }
 
     /// Live assigned-edge count across all shards.
@@ -819,7 +766,9 @@ impl<'p> DispatchService<'p> {
 
     fn route(&self, ev: &ServiceEvent) -> Routed {
         match self.route_universe(ev) {
-            Routed::Shard(s) if self.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
+            Routed::Shard(s) if self.run.cfg.owned_shard.is_some_and(|own| own != s) => {
+                Routed::Foreign
+            }
             r => r,
         }
     }
@@ -877,8 +826,8 @@ impl<'p> DispatchService<'p> {
             ServiceEvent::BenefitUpdate { edge, weight } => {
                 let local = EdgeId::new(self.plan.edge_local[edge as usize]);
                 st.set_weight(local, weight);
-                let old = self.live_weights[edge as usize];
-                self.live_weights[edge as usize] = weight;
+                let old = self.run.live_weights[edge as usize];
+                self.run.live_weights[edge as usize] = weight;
                 self.cut.update(false, old, weight);
             }
         }
@@ -889,15 +838,16 @@ impl<'p> DispatchService<'p> {
         batch_span.attr("events", batch.events.len() as u64);
         mbta_telemetry::counter_add("mbta_service_batches_total", 1);
         mbta_telemetry::observe("mbta_service_batch_events", batch.events.len() as f64);
-        mbta_telemetry::gauge_set("mbta_service_queue_depth", self.queue.len() as f64);
+        mbta_telemetry::gauge_set("mbta_service_queue_depth", self.run.queue.len() as f64);
         let reason = batch.reason;
-        self.flush_tally[match reason {
+        self.run.count.flush_tally[match reason {
             FlushReason::Count => 0,
             FlushReason::Bytes => 1,
             FlushReason::Watermark => 2,
             FlushReason::Drain => 3,
             FlushReason::Online => unreachable!("the batcher never emits online flushes"),
         }] += 1;
+        let boundary_pass = self.run.cfg.boundary_pass;
 
         // Pass 1: route every event so the touched-shard set (and thus the
         // pre-batch snapshots) is known before any state changes.
@@ -918,16 +868,16 @@ impl<'p> DispatchService<'p> {
                 Routed::Invalid => invalid += 1,
                 // With the boundary pass on, cross-shard benefit updates
                 // feed the rescue market instead of being dropped.
-                Routed::CrossBenefit if !self.boundary_pass => self.cross_benefit_drops += 1,
+                Routed::CrossBenefit if !boundary_pass => self.run.count.cross_benefit_drops += 1,
                 Routed::CrossBenefit => {}
                 Routed::Foreign => foreign += 1,
             }
             routes.push(r);
         }
         touched.sort_unstable();
-        self.invalid_events += invalid as u64;
+        self.run.count.invalid_events += invalid as u64;
         mbta_telemetry::counter_add("mbta_service_invalid_events_total", invalid as u64);
-        self.foreign_events += foreign as u64;
+        self.run.count.foreign_events += foreign as u64;
         mbta_telemetry::counter_add("mbta_service_foreign_events_total", foreign as u64);
 
         let before: Vec<Matching> = touched.iter().map(|&s| self.states[s].matching()).collect();
@@ -935,7 +885,7 @@ impl<'p> DispatchService<'p> {
         // Pass 2: apply churn in arrival order (greedy local repair keeps
         // every intermediate state feasible). With a store attached, the
         // applied weight updates are collected for the batch's WAL record.
-        let journaling = self.store.is_some();
+        let journaling = self.run.store.is_some();
         let mut deltas: Vec<WeightDelta> = Vec::new();
         for (a, r) in batch.events.iter().zip(&routes) {
             match *r {
@@ -946,9 +896,9 @@ impl<'p> DispatchService<'p> {
                         }
                     }
                     self.apply(s, &a.event);
-                    self.events_processed += 1;
+                    self.run.count.events_processed += 1;
                 }
-                Routed::CrossBenefit if self.boundary_pass => {
+                Routed::CrossBenefit if boundary_pass => {
                     // Cross-shard edges live outside every shard state; the
                     // update lands on the universe weights directly and is
                     // picked up by the next rescue solve.
@@ -958,10 +908,10 @@ impl<'p> DispatchService<'p> {
                     if journaling {
                         deltas.push(WeightDelta { edge, weight });
                     }
-                    let old = self.live_weights[edge as usize];
-                    self.live_weights[edge as usize] = weight;
+                    let old = self.run.live_weights[edge as usize];
+                    self.run.live_weights[edge as usize] = weight;
                     self.cut.update(true, old, weight);
-                    self.events_processed += 1;
+                    self.run.count.events_processed += 1;
                 }
                 _ => {}
             }
@@ -972,7 +922,7 @@ impl<'p> DispatchService<'p> {
         // for every shard solve (see the module docs' budget policy), so
         // sequential runs carry unused budget forward and concurrent runs
         // race the same instant.
-        let batch_deadline = match self.budget {
+        let batch_deadline = match self.run.cfg.budget {
             BudgetMode::Wallclock(ms) => Some(Deadline::after_ms(ms)),
             BudgetMode::Deterministic => None,
         };
@@ -983,15 +933,15 @@ impl<'p> DispatchService<'p> {
         // but still merges results back in shard order.
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(touched.len());
         for &s in &touched {
-            let g = &self.plan.shards[s].sub.graph;
-            if g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0 {
+            if self.shard_degenerate(s) {
                 continue;
             }
+            let g = &self.plan.shards[s].sub.graph;
             let mut cfg = EngineConfig::new();
             if let Some(d) = batch_deadline {
                 cfg = cfg.with_deadline_at(d);
             }
-            if self.poisoned[s] {
+            if self.run.poisoned[s] {
                 let token = CancelToken::new();
                 token.cancel();
                 cfg = cfg.with_cancel(token);
@@ -1004,8 +954,8 @@ impl<'p> DispatchService<'p> {
                 est_size: g.n_edges(),
             });
         }
-        let solved = self.pool.solve(jobs);
-        self.steals += solved.steals;
+        let solved = self.run.pool.solve(jobs);
+        self.run.count.steals += solved.steals;
 
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
@@ -1016,10 +966,11 @@ impl<'p> DispatchService<'p> {
             let s = outcome.shard;
             match outcome.result {
                 Ok(sol) => {
-                    self.solves += 1;
-                    self.tier_tally[sol.tier as usize] += 1;
+                    let count = &mut self.run.count;
+                    count.solves += 1;
+                    count.tier_tally[sol.tier as usize] += 1;
                     if sol.tier == QualityTier::Degraded {
-                        self.degraded_by_shard[s] += 1;
+                        count.degraded_by_shard[s] += 1;
                         degraded_shards += 1;
                     }
                     worst_tier = Some(worst_tier.map_or(sol.tier, |t| t.min(sol.tier)));
@@ -1031,7 +982,7 @@ impl<'p> DispatchService<'p> {
                         self.states[s]
                             .reseed(&sol.matching)
                             .expect("engine solution is feasible on the active sub-market");
-                        self.reseeds += 1;
+                        count.reseeds += 1;
                         mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
                     }
                 }
@@ -1051,7 +1002,7 @@ impl<'p> DispatchService<'p> {
             }
         }
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-        self.solve_lat.observe(solve_ms);
+        self.run.count.solve_lat.observe(solve_ms);
         mbta_telemetry::observe("mbta_service_batch_solve_ms", solve_ms);
 
         // Pass 3b: boundary rescue — re-derive the cross-shard overlay
@@ -1059,8 +1010,8 @@ impl<'p> DispatchService<'p> {
         // quarter-slice of the batch budget (the rescue market is tiny
         // relative to the shard solves and must not starve them), none in
         // deterministic mode.
-        let mut rescue_decisions = if self.boundary_pass {
-            let rescue_deadline = match self.budget {
+        let mut decisions = if boundary_pass {
+            let rescue_deadline = match self.run.cfg.budget {
                 BudgetMode::Wallclock(ms) => Some(Deadline::after_ms(ms / 4 + 1)),
                 BudgetMode::Deterministic => None,
             };
@@ -1070,65 +1021,40 @@ impl<'p> DispatchService<'p> {
         };
 
         // Pass 4: emit assignment deltas (per-shard before/after diff).
-        let mut decisions: Vec<Decision> = Vec::new();
         for (&s, pre) in touched.iter().zip(&before) {
             let post = self.states[s].matching();
-            let slice = &self.plan.shards[s];
-            let mut removed = Vec::new();
-            let mut added = Vec::new();
-            diff_sorted(
-                &pre.edges,
-                &post.edges,
-                |e| removed.push(e),
-                |e| added.push(e),
-            );
-            for (local, action) in removed
-                .into_iter()
-                .map(|e| (e, Action::Unassign))
-                .chain(added.into_iter().map(|e| (e, Action::Assign)))
-            {
-                let parent = slice.sub.edge_back[local.index()];
-                decisions.push(Decision {
-                    shard: s as u32,
-                    edge: parent.raw(),
+            let edge_back = &self.plan.shards[s].sub.edge_back;
+            let (g, weights) = (self.universe, &self.run.live_weights);
+            diff_sorted(&pre.edges, &post.edges, |local, action| {
+                decisions.push(decision(
+                    g,
+                    weights,
+                    s as u32,
+                    edge_back[local.index()],
                     action,
-                    worker: self.universe.worker_of(parent).raw(),
-                    task: self.universe.task_of(parent).raw(),
-                    weight: self.live_weights[parent.index()],
-                });
-            }
+                ));
+            });
         }
-        decisions.append(&mut rescue_decisions);
         canonical_order(&mut decisions);
-        self.decisions_out += decisions.len() as u64;
-        mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
 
         let stats = BatchStats {
-            seq: self.seq,
-            reason,
-            events: batch.events.len(),
-            queue_depth: self.queue.len(),
             shards_touched: touched.len(),
             degraded_shards,
             worst_tier,
-            solve_ms,
             invalid_events: invalid,
+            ..self.next_stats(reason, batch.events.len(), solve_ms)
         };
-        self.seq += 1;
-        // Write-ahead ordering: the batch is durable before any decision
-        // is released to the outside world.
-        if journaling {
-            let rec = BatchRecord {
-                seq: stats.seq,
+        let record = |seq, decisions| {
+            WalRecord::Batch(BatchRecord {
+                seq,
                 first_time: batch.events.first().map_or(0.0, |a| a.time),
                 last_time: batch.events.last().map_or(0.0, |a| a.time),
                 events: batch.events.len() as u32,
                 deltas,
-                decisions: to_records(&decisions),
-            };
-            self.journal(rec);
-        }
-        sink.on_batch(&stats, &decisions);
+                decisions,
+            })
+        };
+        self.commit(stats, &decisions, record, sink);
     }
 
     /// Re-derives the cross-shard rescue overlay from this batch's
@@ -1153,44 +1079,32 @@ impl<'p> DispatchService<'p> {
         // Residuals: universe capacity/demand minus the intra-shard load.
         let mut w_res: Vec<u32> = universe.workers().map(|w| universe.capacity(w)).collect();
         let mut t_res: Vec<u32> = universe.tasks().map(|t| universe.demand(t)).collect();
-        for (slice, st) in plan.shards.iter().zip(&self.states) {
-            for e in st.matching().edges {
-                let parent = slice.sub.edge_back[e.index()];
-                w_res[universe.worker_of(parent).index()] -= 1;
-                t_res[universe.task_of(parent).index()] -= 1;
-            }
+        for (_, e) in self.shard_edges() {
+            w_res[universe.worker_of(e).index()] -= 1;
+            t_res[universe.task_of(e).index()] -= 1;
         }
 
         let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
-        let states = &self.states;
-        let worker_ok = |w: WorkerId| {
-            states[plan.worker_shard[w.index()] as usize]
-                .worker_active(WorkerId::new(plan.worker_local[w.index()]))
-        };
-        let task_ok = |t: TaskId| {
-            states[plan.task_shard[t.index()] as usize]
-                .task_active(TaskId::new(plan.task_local[t.index()]))
-        };
         // A cross edge is "seen" by the rescue market once both endpoints
         // are concurrently live — even with zero residual. Exhausted
         // residual means the capacity went to intra-shard assignments,
         // which is contention, not partition loss; `effective_retained`
         // must charge the partition only for weight it made unreachable.
         for e in universe.edges() {
-            if !self.cross_seen[e.index()]
+            if !self.run.cross_seen[e.index()]
                 && is_cross(e)
-                && worker_ok(universe.worker_of(e))
-                && task_ok(universe.task_of(e))
+                && self.worker_live(universe.worker_of(e))
+                && self.task_live(universe.task_of(e))
             {
-                self.cross_seen[e.index()] = true;
+                self.run.cross_seen[e.index()] = true;
             }
         }
         let spec = residual_candidates(
             universe,
-            &self.live_weights,
+            &self.run.live_weights,
             is_cross,
-            worker_ok,
-            task_ok,
+            |w| self.worker_live(w),
+            |t| self.task_live(t),
             &w_res,
             &t_res,
         );
@@ -1212,20 +1126,20 @@ impl<'p> DispatchService<'p> {
                 },
                 |e| cand[e.index()],
             );
-            let weights = sub.project_weights(&self.live_weights);
+            let weights = sub.project_weights(&self.run.live_weights);
             let mut cfg = EngineConfig::new();
             if let Some(d) = rescue_deadline {
                 cfg = cfg.with_deadline_at(d);
             }
             let est = sub.graph.n_edges();
-            let outcome = self.pool.solve_one(ShardJob {
+            let outcome = self.run.pool.solve_one(ShardJob {
                 shard: plan.n_shards(),
                 graph: &sub.graph,
                 weights,
                 config: cfg,
                 est_size: est,
             });
-            self.rescue_solves += 1;
+            self.run.count.rescue_solves += 1;
             mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
             match outcome.result {
                 Ok(sol) => sol
@@ -1241,60 +1155,62 @@ impl<'p> DispatchService<'p> {
             }
         };
         new_overlay.sort_unstable();
-        self.rescue_violations +=
+        self.run.count.rescue_violations +=
             validate_rescue(universe, is_cross, &w_res, &t_res, &new_overlay) as u64;
 
         let rescue_shard = plan.n_shards() as u32;
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        diff_sorted(
-            &self.overlay,
-            &new_overlay,
-            |e| removed.push(e),
-            |e| added.push(e),
-        );
-        self.rescue_assigns += added.len() as u64;
-        let decisions: Vec<Decision> = removed
-            .into_iter()
-            .map(|e| (e, Action::Unassign))
-            .chain(added.into_iter().map(|e| (e, Action::Assign)))
-            .map(|(e, action)| Decision {
-                shard: rescue_shard,
-                edge: e.raw(),
+        let mut decisions = Vec::new();
+        diff_sorted(&self.overlay, &new_overlay, |e, action| {
+            if action == Action::Assign {
+                self.run.count.rescue_assigns += 1;
+            }
+            decisions.push(decision(
+                universe,
+                &self.run.live_weights,
+                rescue_shard,
+                e,
                 action,
-                worker: universe.worker_of(e).raw(),
-                task: universe.task_of(e).raw(),
-                weight: self.live_weights[e.index()],
-            })
-            .collect();
+            ));
+        });
 
         let rescued: f64 = new_overlay
             .iter()
-            .map(|e| self.live_weights[e.index()])
+            .map(|e| self.run.live_weights[e.index()])
             .sum();
         mbta_telemetry::gauge_set("mbta_partition_rescued_weight", rescued);
         self.overlay = new_overlay;
         decisions
     }
 
+    /// Folds the warm solvers' counters into the run totals: before a
+    /// re-plan drops the solvers, and once at finish.
+    fn retire_warm(&mut self) {
+        for sh in self.online.iter().flat_map(|rt| &rt.shards) {
+            let w = sh.warm.stats();
+            self.run.count.warm_solves += w.solves;
+            self.run.count.warm_hits += w.warm_hits;
+        }
+    }
+
     /// Flushes all remaining work, reconciles cross-shard state, and
     /// returns the run report.
     pub fn finish(mut self, sink: &mut impl DecisionSink) -> ServiceReport {
         self.pump(sink);
-        if let Some(closed) = self.batcher.drain() {
+        if let Some(closed) = self.run.batcher.drain() {
             self.dispatch(closed, sink);
         }
         self.drain_online(sink);
+        self.retire_warm();
 
         // Clean shutdown of the durability store: fsync the WAL and write
         // a final snapshot so recovery replays nothing.
         let mut store_stats = mbta_store::store::StoreStats::default();
-        if let Some(mut store) = self.store.take() {
-            if self.store_error.is_none() {
-                let snap = self.snapshot_state(self.seq);
+        if let Some(mut store) = self.run.store.take() {
+            if self.run.store_error.is_none() {
+                let snap = self.snapshot_state(self.run.count.seq);
                 if let Err(e) = store.seal(&snap) {
                     mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                    self.store_error = Some(e);
+                    self.run.store_error = Some(e);
                 }
             }
             store_stats = store.stats();
@@ -1306,58 +1222,39 @@ impl<'p> DispatchService<'p> {
         // rescue market's capacities are the shard residuals, so this
         // holds by construction; re-validate anyway and count violations
         // per node.
-        let mut union: Vec<EdgeId> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .flat_map(|(slice, st)| {
-                st.matching()
-                    .edges
-                    .into_iter()
-                    .map(|e| slice.sub.edge_back[e.index()])
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        union.extend(self.overlay.iter().copied());
-        let mut chosen = vec![false; self.universe.n_edges()];
-        let mut w_load = vec![0u32; self.universe.n_workers()];
-        let mut t_load = vec![0u32; self.universe.n_tasks()];
+        let g = self.universe;
+        let mut chosen = vec![false; g.n_edges()];
+        let mut w_load = vec![0u32; g.n_workers()];
+        let mut t_load = vec![0u32; g.n_tasks()];
         let mut violations = 0usize;
-        for &e in &union {
+        let union = self.shard_edges().map(|(_, e)| e);
+        for e in union.chain(self.overlay.iter().copied()) {
             if chosen[e.index()] {
                 violations += 1;
             }
             chosen[e.index()] = true;
-            w_load[self.universe.worker_of(e).index()] += 1;
-            t_load[self.universe.task_of(e).index()] += 1;
+            w_load[g.worker_of(e).index()] += 1;
+            t_load[g.task_of(e).index()] += 1;
         }
-        for w in self.universe.workers() {
-            if w_load[w.index()] > self.universe.capacity(w) {
-                violations += 1;
-            }
-        }
-        for t in self.universe.tasks() {
-            if t_load[t.index()] > self.universe.demand(t) {
-                violations += 1;
-            }
-        }
+        violations += g
+            .workers()
+            .filter(|&w| w_load[w.index()] > g.capacity(w))
+            .count();
+        violations += g
+            .tasks()
+            .filter(|&t| t_load[t.index()] > g.demand(t))
+            .count();
 
         // In-shard solve violations cannot occur, but a broken rescue
         // overlay would: fold the per-batch rescue validations in.
-        violations += self.rescue_violations as usize;
+        violations += self.run.count.rescue_violations as usize;
 
+        let weights = &self.run.live_weights;
         // `+ 0.0` normalizes the empty sum's -0.0 (cosmetic in reports).
-        let rescued_weight: f64 = self
-            .overlay
-            .iter()
-            .map(|e| self.live_weights[e.index()])
-            .sum::<f64>()
-            + 0.0;
-        let final_value: f64 =
-            self.states.iter().map(|s| s.total_weight()).sum::<f64>() + rescued_weight;
-        let final_assignments: usize =
-            self.states.iter().map(|s| s.len()).sum::<usize>() + self.overlay.len();
+        let rescued_weight: f64 =
+            self.overlay.iter().map(|e| weights[e.index()]).sum::<f64>() + 0.0;
+        let final_value = self.current_value() + rescued_weight;
+        let final_assignments = self.current_assignments() + self.overlay.len();
 
         // Retained weight from the *live* weights, not the plan-time ones
         // — benefit drift moves weight across the cut after planning, and
@@ -1365,12 +1262,12 @@ impl<'p> DispatchService<'p> {
         // figure also credits cross edges the rescue market was offered
         // (they are assignable, just second-stage).
         let (mut intra_live, mut seen_live, mut total_live) = (0.0f64, 0.0f64, 0.0f64);
-        for e in self.universe.edges() {
-            let w = self.live_weights[e.index()];
+        for e in g.edges() {
+            let w = weights[e.index()];
             total_live += w;
             if self.plan.edge_shard[e.index()] != UNMAPPED {
                 intra_live += w;
-            } else if self.cross_seen[e.index()] {
+            } else if self.run.cross_seen[e.index()] {
                 seen_live += w;
             }
         }
@@ -1382,80 +1279,81 @@ impl<'p> DispatchService<'p> {
             }
         };
 
-        let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let lat = self.solve_lat;
-        let (online_events, online_fallbacks, online_exchanges) = self
-            .online
-            .as_ref()
-            .map_or((0, 0, 0), |rt| (rt.events, rt.fallbacks, rt.exchanges));
-        let (warm_solves, warm_hits) = self.online.as_ref().map_or((0, 0), |rt| {
-            let w = rt.warm_totals();
-            (w.solves, w.warm_hits)
-        });
-        let (p50_online_ms, p99_online_ms, max_online_ms) =
-            self.online.as_ref().map_or((0.0, 0.0, 0.0), |rt| {
-                (rt.lat.quantile(0.5), rt.lat.quantile(0.99), rt.lat.max())
-            });
+        let RunState {
+            cfg,
+            pool,
+            queue,
+            store_error,
+            count: c,
+            started,
+            ..
+        } = self.run;
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         ServiceReport {
             n_shards: self.plan.n_shards(),
             cross_edges: self.plan.cross_edges,
             retained_weight: frac(intra_live),
             effective_retained: frac(intra_live + seen_live),
             rescued_weight,
-            rescue_solves: self.rescue_solves,
-            rescue_assigns: self.rescue_assigns,
-            replans: self.replans,
-            migrated_workers: self.migrated_workers,
-            migrated_tasks: self.migrated_tasks,
-            events_in: self.events_in,
-            events_processed: self.events_processed,
-            dropped_newest: self.queue.dropped_newest(),
-            dropped_oldest: self.queue.dropped_oldest(),
-            deferrals: self.queue.deferrals(),
-            defer_retry_ok: self.defer_retry_ok,
-            invalid_events: self.invalid_events,
-            cross_benefit_drops: self.cross_benefit_drops,
-            foreign_events: self.foreign_events,
-            queue_high_watermark: self.queue.high_watermark(),
-            batches: self.seq,
-            flush_count: self.flush_tally[0],
-            flush_bytes: self.flush_tally[1],
-            flush_watermark: self.flush_tally[2],
-            flush_drain: self.flush_tally[3],
-            flush_online: self.flush_tally[4],
-            online_events,
-            online_fallbacks,
-            online_exchanges,
-            online_warm_solves: warm_solves,
-            online_warm_hits: warm_hits,
-            p50_online_ms,
-            p99_online_ms,
-            max_online_ms,
-            solves: self.solves,
-            tier_exact: self.tier_tally[QualityTier::Exact as usize],
-            tier_approximate: self.tier_tally[QualityTier::Approximate as usize],
-            tier_degraded: self.tier_tally[QualityTier::Degraded as usize],
-            degraded_by_shard: self.degraded_by_shard,
-            reseeds: self.reseeds,
-            decisions: self.decisions_out,
-            p50_solve_ms: lat.quantile(0.5),
-            p99_solve_ms: lat.quantile(0.99),
-            max_solve_ms: lat.max(),
+            rescue_solves: c.rescue_solves,
+            rescue_assigns: c.rescue_assigns,
+            replans: c.replans,
+            migrated_workers: c.migrated_workers,
+            migrated_tasks: c.migrated_tasks,
+            events_in: c.events_in,
+            events_processed: c.events_processed,
+            dropped_newest: queue.dropped_newest(),
+            dropped_oldest: queue.dropped_oldest(),
+            deferrals: queue.deferrals(),
+            defer_retry_ok: c.defer_retry_ok,
+            invalid_events: c.invalid_events,
+            cross_benefit_drops: c.cross_benefit_drops,
+            foreign_events: c.foreign_events,
+            queue_high_watermark: queue.high_watermark(),
+            batches: c.seq,
+            flush_count: c.flush_tally[0],
+            flush_bytes: c.flush_tally[1],
+            flush_watermark: c.flush_tally[2],
+            flush_drain: c.flush_tally[3],
+            flush_online: c.flush_tally[4],
+            // Every processed event goes through the online path there.
+            online_events: if cfg.online.is_some() {
+                c.events_processed
+            } else {
+                0
+            },
+            online_fallbacks: c.online_fallbacks,
+            online_exchanges: c.online_exchanges,
+            online_warm_solves: c.warm_solves,
+            online_warm_hits: c.warm_hits,
+            p50_online_ms: c.online_lat.quantile(0.5),
+            p99_online_ms: c.online_lat.quantile(0.99),
+            max_online_ms: c.online_lat.max(),
+            solves: c.solves,
+            tier_exact: c.tier_tally[QualityTier::Exact as usize],
+            tier_approximate: c.tier_tally[QualityTier::Approximate as usize],
+            tier_degraded: c.tier_tally[QualityTier::Degraded as usize],
+            degraded_by_shard: c.degraded_by_shard,
+            reseeds: c.reseeds,
+            decisions: c.decisions,
+            p50_solve_ms: c.solve_lat.quantile(0.5),
+            p99_solve_ms: c.solve_lat.quantile(0.99),
+            max_solve_ms: c.solve_lat.max(),
             wall_ms,
             events_per_sec: if wall_ms > 0.0 {
-                self.events_processed as f64 / (wall_ms / 1e3)
+                c.events_processed as f64 / (wall_ms / 1e3)
             } else {
                 0.0
             },
             final_value,
             final_assignments,
             capacity_violations: violations,
-            pool_threads: self.pool.threads(),
-            steals: self.steals,
+            pool_threads: pool.threads(),
+            steals: c.steals,
             wal_records: store_stats.wal_records,
             wal_bytes: store_stats.wal_bytes,
             snapshots: store_stats.snapshots,
-            store_error: self.store_error.map(|e| e.to_string()),
+            store_error: store_error.map(|e| e.to_string()),
         }
     }
 
@@ -1463,95 +1361,41 @@ impl<'p> DispatchService<'p> {
     /// fraction has degraded past the configured threshold. Cheap (two
     /// float reads); the driver polls it at batch boundaries.
     pub fn replan_due(&self) -> bool {
-        self.replan_threshold
-            .is_some_and(|t| self.cut.degradation() > t)
+        let threshold = self.run.cfg.replan_threshold;
+        threshold.is_some_and(|t| self.cut.degradation() > t)
     }
 
     /// Tears the service down to exactly the state a successor needs to
-    /// continue the run under a **new** shard plan: live weights, node
-    /// liveness, the assigned-edge union, the old node→shard maps (for
-    /// migration accounting), the ingress queue and batcher (queued
-    /// events carry over untouched), the durability store, and every
-    /// report counter. Pair with [`DispatchService::resume`]:
+    /// continue the run under a **new** shard plan: node liveness, the
+    /// assigned-edge union, the old node→shard maps (for migration
+    /// accounting), and the whole plan-independent run state — live
+    /// weights, the ingress queue and batcher (queued events carry over
+    /// untouched), the solver pool, the durability store and every report
+    /// counter. Pair with [`DispatchService::resume`]:
     ///
     /// ```text
     /// let carried = svc.detach();
     /// let plan2 = ShardPlan::build(&g, carried.live_weights(), k, routing);
     /// let mut svc = DispatchService::resume(&g, &plan2, carried, &mut sink);
     /// ```
-    pub fn detach(self) -> CarriedState {
-        let mut active_workers = vec![false; self.universe.n_workers()];
-        for w in self.universe.workers() {
-            let s = self.plan.worker_shard[w.index()] as usize;
-            active_workers[w.index()] =
-                self.states[s].worker_active(WorkerId::new(self.plan.worker_local[w.index()]));
-        }
-        let mut active_tasks = vec![false; self.universe.n_tasks()];
-        for t in self.universe.tasks() {
-            let s = self.plan.task_shard[t.index()] as usize;
-            active_tasks[t.index()] =
-                self.states[s].task_active(TaskId::new(self.plan.task_local[t.index()]));
-        }
-        let mut assigned: Vec<(EdgeId, u32)> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .enumerate()
-            .flat_map(|(s, (slice, st))| {
-                st.matching()
-                    .edges
-                    .into_iter()
-                    .map(move |e| (slice.sub.edge_back[e.index()], s as u32))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+    pub fn detach(mut self) -> CarriedState {
+        self.retire_warm();
         let rescue_shard = self.plan.n_shards() as u32;
-        assigned.extend(self.overlay.iter().map(|&e| (e, rescue_shard)));
+        let overlay = self.overlay.iter().map(|&e| (e, rescue_shard));
+        let mut assigned: Vec<(EdgeId, u32)> = self
+            .shard_edges()
+            .map(|(s, e)| (e, s as u32))
+            .chain(overlay)
+            .collect();
         assigned.sort_unstable_by_key(|&(e, _)| e);
+        let g = self.universe;
         CarriedState {
-            live_weights: self.live_weights,
-            active_workers,
-            active_tasks,
+            active_workers: g.workers().map(|w| self.worker_live(w)).collect(),
+            active_tasks: g.tasks().map(|t| self.task_live(t)).collect(),
             assigned,
             old_worker_shard: self.plan.worker_shard.clone(),
             old_task_shard: self.plan.task_shard.clone(),
-            budget: self.budget,
-            pool: self.pool,
-            queue: self.queue,
-            batcher: self.batcher,
-            poisoned: self.poisoned,
-            store: self.store,
-            store_error: self.store_error,
-            boundary_pass: self.boundary_pass,
-            cross_seen: self.cross_seen,
-            replan_threshold: self.replan_threshold,
-            online: self.online.map(OnlineRuntime::detach),
-            owned_shard: self.owned_shard,
-            seq: self.seq,
-            events_in: self.events_in,
-            events_processed: self.events_processed,
-            invalid_events: self.invalid_events,
-            cross_benefit_drops: self.cross_benefit_drops,
-            foreign_events: self.foreign_events,
-            flush_tally: self.flush_tally,
-            solves: self.solves,
-            tier_tally: self.tier_tally,
-            degraded_by_shard: self.degraded_by_shard,
-            decisions_out: self.decisions_out,
-            steals: self.steals,
-            rescue_solves: self.rescue_solves,
-            rescue_assigns: self.rescue_assigns,
-            rescue_violations: self.rescue_violations,
-            replans: self.replans,
-            migrated_workers: self.migrated_workers,
-            migrated_tasks: self.migrated_tasks,
-            defer_pending: self.defer_pending,
-            defer_retry_ok: self.defer_retry_ok,
-            reseeds: self.reseeds,
-            solve_lat: self.solve_lat,
-            last_time: self.last_time,
-            started: self.started,
+            run: self.run,
         }
     }
 
@@ -1566,7 +1410,7 @@ impl<'p> DispatchService<'p> {
     /// * carried assignments that became cross-shard move to the rescue
     ///   overlay when the boundary pass is on, otherwise they are
     ///   unassigned (decisions emitted under their old shard id);
-    /// * a [`PlanRecord`] is journaled *before* those decisions reach the
+    /// * a [`PlanRecord`] is committed *before* those decisions reach the
     ///   sink, carrying the full post-migration shard sets, so
     ///   `mbta_store::recover` and WAL followers replay the exact same
     ///   migration at the exact same sequence slot;
@@ -1578,20 +1422,28 @@ impl<'p> DispatchService<'p> {
         carried: CarriedState,
         sink: &mut impl DecisionSink,
     ) -> DispatchService<'p> {
+        let CarriedState {
+            mut run,
+            active_workers,
+            active_tasks,
+            assigned,
+            old_worker_shard,
+            old_task_shard,
+        } = carried;
         let n = plan.n_shards();
-        let (mut states, live_weights, cut) =
-            seed_plan_state(universe, plan, Some(carried.live_weights));
-        for w in universe.workers() {
-            if carried.active_workers[w.index()] {
-                states[plan.worker_shard[w.index()] as usize]
-                    .activate_worker(WorkerId::new(plan.worker_local[w.index()]));
-            }
+        assert_eq!(
+            run.live_weights.len(),
+            universe.n_edges(),
+            "carried weights mismatch"
+        );
+        let (mut states, cut) = seed_plan_state(universe, plan, &run.live_weights);
+        for w in universe.workers().filter(|w| active_workers[w.index()]) {
+            states[plan.worker_shard[w.index()] as usize]
+                .activate_worker(WorkerId::new(plan.worker_local[w.index()]));
         }
-        for t in universe.tasks() {
-            if carried.active_tasks[t.index()] {
-                states[plan.task_shard[t.index()] as usize]
-                    .activate_task(TaskId::new(plan.task_local[t.index()]));
-            }
+        for t in universe.tasks().filter(|t| active_tasks[t.index()]) {
+            states[plan.task_shard[t.index()] as usize]
+                .activate_task(TaskId::new(plan.task_local[t.index()]));
         }
 
         // Split the carried assignment under the new plan. `assigned` is
@@ -1600,20 +1452,20 @@ impl<'p> DispatchService<'p> {
         let mut per_shard_local: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
         let mut shard_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut overlay: Vec<EdgeId> = Vec::new();
-        let mut dropped: Vec<(EdgeId, u32)> = Vec::new();
-        for &(e, old_shard) in &carried.assigned {
+        let mut dropped: Vec<Decision> = Vec::new();
+        for &(e, old_shard) in &assigned {
             let s = plan.edge_shard[e.index()];
-            if s == UNMAPPED {
-                if carried.boundary_pass {
-                    overlay.push(e);
-                } else {
-                    dropped.push((e, old_shard));
-                }
-            } else {
+            if s != UNMAPPED {
                 per_shard_local[s as usize].push(EdgeId::new(plan.edge_local[e.index()]));
                 shard_sets[s as usize].push(e.raw());
+            } else if run.cfg.boundary_pass {
+                overlay.push(e);
+            } else {
+                let weights = &run.live_weights;
+                dropped.push(decision(universe, weights, old_shard, e, Action::Unassign));
             }
         }
+        canonical_order(&mut dropped);
         for (s, mut edges) in per_shard_local.into_iter().enumerate() {
             if edges.is_empty() {
                 continue;
@@ -1623,138 +1475,41 @@ impl<'p> DispatchService<'p> {
                 .reseed(&Matching { edges })
                 .expect("carried assignment stays feasible restricted to its new shard");
         }
-
-        // Online mode: re-arm the flip logs only after the migration
-        // reseeds (the migration is journaled as a plan record, not as
-        // per-event decisions) and rebuild the warm/drift state for the
-        // new topology, keeping the carried run counters.
-        let online = carried.online.map(|c| {
-            for st in &mut states {
-                st.enable_log();
-            }
-            OnlineRuntime::resume(c, plan)
-        });
+        if run.cfg.boundary_pass {
+            shard_sets.push(overlay.iter().map(|e| e.raw()).collect());
+        }
 
         let moved = migration_diff(
-            &carried.old_worker_shard,
+            &old_worker_shard,
             &plan.worker_shard,
-            &carried.old_task_shard,
+            &old_task_shard,
             &plan.task_shard,
         );
-        let mut rec_shards = shard_sets;
-        if carried.boundary_pass {
-            rec_shards.push(overlay.iter().map(|e| e.raw()).collect());
+        if run.poisoned.len() != n {
+            run.poisoned = vec![false; n];
+            run.count.degraded_by_shard = vec![0; n];
         }
-        let rec = PlanRecord {
-            seq: carried.seq,
-            retained_weight: plan.retained_weight,
-            moved_workers: moved.moved_workers,
-            moved_tasks: moved.moved_tasks,
-            shards: rec_shards,
-        };
-
-        let mut svc = DispatchService {
-            universe,
-            plan,
-            budget: carried.budget,
-            pool: carried.pool,
-            states,
-            queue: carried.queue,
-            batcher: carried.batcher,
-            poisoned: if carried.poisoned.len() == n {
-                carried.poisoned
-            } else {
-                vec![false; n]
-            },
-            live_weights,
-            store: carried.store,
-            store_error: carried.store_error,
-            boundary_pass: carried.boundary_pass,
-            overlay,
-            cross_seen: carried.cross_seen,
-            cut,
-            replan_threshold: carried.replan_threshold,
-            online,
-            owned_shard: carried.owned_shard,
-            seq: carried.seq + 1,
-            events_in: carried.events_in,
-            events_processed: carried.events_processed,
-            invalid_events: carried.invalid_events,
-            cross_benefit_drops: carried.cross_benefit_drops,
-            foreign_events: carried.foreign_events,
-            flush_tally: carried.flush_tally,
-            solves: carried.solves,
-            tier_tally: carried.tier_tally,
-            degraded_by_shard: if carried.degraded_by_shard.len() == n {
-                carried.degraded_by_shard
-            } else {
-                vec![0; n]
-            },
-            decisions_out: carried.decisions_out,
-            steals: carried.steals,
-            rescue_solves: carried.rescue_solves,
-            rescue_assigns: carried.rescue_assigns,
-            rescue_violations: carried.rescue_violations,
-            replans: carried.replans + 1,
-            migrated_workers: carried.migrated_workers + moved.moved_workers as u64,
-            migrated_tasks: carried.migrated_tasks + moved.moved_tasks as u64,
-            defer_pending: carried.defer_pending,
-            defer_retry_ok: carried.defer_retry_ok,
-            reseeds: carried.reseeds,
-            solve_lat: carried.solve_lat,
-            last_time: carried.last_time,
-            started: carried.started,
-        };
+        run.count.replans += 1;
+        run.count.migrated_workers += moved.moved_workers as u64;
+        run.count.migrated_tasks += moved.moved_tasks as u64;
         mbta_telemetry::counter_add("mbta_partition_replans_total", 1);
         mbta_telemetry::gauge_set(
             "mbta_partition_migrated_nodes",
             (moved.moved_workers + moved.moved_tasks) as f64,
         );
 
-        // Write-ahead ordering, same as batches: the plan frame is
-        // durable before any migration decision is released.
-        if let Some(mut store) = svc.store.take() {
-            if svc.store_error.is_none() {
-                let mut res = store.commit_plan(&rec);
-                if res.is_ok() && store.snapshot_due() {
-                    let snap = svc.snapshot_state(rec.seq + 1);
-                    res = store.snapshot(&snap);
-                }
-                if let Err(e) = res {
-                    mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                    svc.store_error = Some(e);
-                }
-            }
-            svc.store = Some(store);
-        }
-
-        if !dropped.is_empty() {
-            let mut decisions: Vec<Decision> = dropped
-                .into_iter()
-                .map(|(e, old_shard)| Decision {
-                    shard: old_shard,
-                    edge: e.raw(),
-                    action: Action::Unassign,
-                    worker: universe.worker_of(e).raw(),
-                    task: universe.task_of(e).raw(),
-                    weight: svc.live_weights[e.index()],
-                })
-                .collect();
-            canonical_order(&mut decisions);
-            svc.decisions_out += decisions.len() as u64;
-            let stats = BatchStats {
-                seq: rec.seq,
-                reason: FlushReason::Drain,
-                events: 0,
-                queue_depth: svc.queue.len(),
-                shards_touched: 0,
-                degraded_shards: 0,
-                worst_tier: None,
-                solve_ms: 0.0,
-                invalid_events: 0,
-            };
-            sink.on_batch(&stats, &decisions);
-        }
+        let mut svc = Self::assemble(universe, plan, states, cut, overlay, run);
+        let stats = svc.next_stats(FlushReason::Drain, 0, 0.0);
+        let record = |seq, _| {
+            WalRecord::Plan(PlanRecord {
+                seq,
+                retained_weight: plan.retained_weight,
+                moved_workers: moved.moved_workers,
+                moved_tasks: moved.moved_tasks,
+                shards: shard_sets,
+            })
+        };
+        svc.commit(stats, &dropped, record, sink);
         svc
     }
 }
@@ -1764,7 +1519,8 @@ impl<'p> DispatchService<'p> {
 /// continue a run under a new shard plan. Owns no borrow of the old plan,
 /// so the driver is free to drop and rebuild the plan in between.
 pub struct CarriedState {
-    live_weights: Vec<f64>,
+    /// The plan-independent run state, moved whole.
+    run: RunState,
     active_workers: Vec<bool>,
     active_tasks: Vec<bool>,
     /// Sorted by edge id: every assigned universe edge plus the shard it
@@ -1772,73 +1528,25 @@ pub struct CarriedState {
     assigned: Vec<(EdgeId, u32)>,
     old_worker_shard: Vec<u32>,
     old_task_shard: Vec<u32>,
-    budget: BudgetMode,
-    pool: SolvePool,
-    queue: BoundedQueue,
-    batcher: Batcher,
-    poisoned: Vec<bool>,
-    store: Option<DurableStore>,
-    store_error: Option<std::io::Error>,
-    boundary_pass: bool,
-    cross_seen: Vec<bool>,
-    replan_threshold: Option<f64>,
-    online: Option<crate::online::OnlineCarried>,
-    owned_shard: Option<usize>,
-    seq: u64,
-    events_in: u64,
-    events_processed: u64,
-    invalid_events: u64,
-    cross_benefit_drops: u64,
-    foreign_events: u64,
-    flush_tally: [u64; 5],
-    solves: u64,
-    tier_tally: [u64; 3],
-    degraded_by_shard: Vec<u64>,
-    decisions_out: u64,
-    steals: u64,
-    rescue_solves: u64,
-    rescue_assigns: u64,
-    rescue_violations: u64,
-    replans: u64,
-    migrated_workers: u64,
-    migrated_tasks: u64,
-    defer_pending: bool,
-    defer_retry_ok: u64,
-    reseeds: u64,
-    solve_lat: mbta_telemetry::Histogram,
-    last_time: f64,
-    started: Instant,
 }
 
 impl CarriedState {
     /// The live universe edge weights at detach time — what the driver
     /// passes to [`ShardPlan::build`] for the replacement plan.
     pub fn live_weights(&self) -> &[f64] {
-        &self.live_weights
+        &self.run.live_weights
     }
 }
 
 /// Builds per-shard incremental states (empty matchings, every node
-/// inactive) plus the universe live-weight vector for `plan`. With
-/// `carry_weights` (resume after a re-plan) the live weights come from
-/// the previous service instance and override the slice weights edge by
-/// edge; otherwise they seed from the plan's own weights — cross-shard
-/// edges included, so benefit drift on unassignable edges is tracked from
-/// the correct baseline. Also returns a fresh [`CutTracker`]
-/// over the resulting weights.
-#[allow(clippy::type_complexity)]
+/// inactive) over `live_weights` — the plan's own universe weights for a
+/// fresh service, the previous instance's live weights on resume — plus
+/// a fresh [`CutTracker`] over them.
 fn seed_plan_state<'p>(
     universe: &'p BipartiteGraph,
     plan: &'p ShardPlan,
-    carry_weights: Option<Vec<f64>>,
-) -> (Vec<IncrementalAssignment<'p>>, Vec<f64>, CutTracker) {
-    let live_weights = match carry_weights {
-        Some(w) => {
-            assert_eq!(w.len(), universe.n_edges(), "carried weights mismatch");
-            w
-        }
-        None => plan.universe_weights.clone(),
-    };
+    live_weights: &[f64],
+) -> (Vec<IncrementalAssignment<'p>>, CutTracker) {
     let mut states = Vec::with_capacity(plan.n_shards());
     for slice in &plan.shards {
         let mut weights = slice.weights.clone();
@@ -1864,7 +1572,26 @@ fn seed_plan_state<'p>(
             intra += live_weights[e.index()];
         }
     }
-    (states, live_weights, CutTracker::new(intra, cross))
+    (states, CutTracker::new(intra, cross))
+}
+
+/// The decision for universe edge `e` under `shard`, stamped with the
+/// edge's live weight.
+fn decision(
+    g: &BipartiteGraph,
+    live_weights: &[f64],
+    shard: u32,
+    e: EdgeId,
+    action: Action,
+) -> Decision {
+    Decision {
+        shard,
+        edge: e.raw(),
+        action,
+        worker: g.worker_of(e).raw(),
+        task: g.task_of(e).raw(),
+        weight: live_weights[e.index()],
+    }
 }
 
 /// Maps emitted decisions to their WAL form, preserving order.
@@ -1882,38 +1609,22 @@ fn to_records(decisions: &[Decision]) -> Vec<DecisionRecord> {
         .collect()
 }
 
-/// Two-pointer diff of sorted edge lists: `removed` for entries only in
-/// `before`, `added` for entries only in `after`.
-fn diff_sorted(
-    before: &[EdgeId],
-    after: &[EdgeId],
-    mut removed: impl FnMut(EdgeId),
-    mut added: impl FnMut(EdgeId),
-) {
+/// Two-pointer diff of sorted edge lists: [`Action::Unassign`] for
+/// entries only in `before`, [`Action::Assign`] for entries only in
+/// `after`.
+fn diff_sorted(before: &[EdgeId], after: &[EdgeId], mut emit: impl FnMut(EdgeId, Action)) {
     let (mut i, mut j) = (0usize, 0usize);
-    while i < before.len() && j < after.len() {
-        match before[i].cmp(&after[j]) {
-            std::cmp::Ordering::Less => {
-                removed(before[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added(after[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
+    while i < before.len() || j < after.len() {
+        if j == after.len() || (i < before.len() && before[i] < after[j]) {
+            emit(before[i], Action::Unassign);
+            i += 1;
+        } else if i == before.len() || after[j] < before[i] {
+            emit(after[j], Action::Assign);
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
         }
-    }
-    while i < before.len() {
-        removed(before[i]);
-        i += 1;
-    }
-    while j < after.len() {
-        added(after[j]);
-        j += 1;
     }
 }
 
@@ -2144,15 +1855,7 @@ mod tests {
         assert!(report.reseeds > 0, "no solve improvement was ever adopted");
         assert!(report.reseeds <= report.solves);
         // Net assignment deltas must equal the final assignment.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
         // Ingress accounting closes.
         assert_eq!(
             report.events_in,
@@ -2383,9 +2086,44 @@ mod tests {
         assert_eq!(rep_on.rescued_weight, rep_on4.rescued_weight);
     }
 
-    /// Drift-driven re-planning: the epoch loop (detach → rebuild →
-    /// resume) fires on a drifting trace, migrates nodes, and keeps every
-    /// safety invariant.
+    /// The drift-driven epoch loop (detach → rebuild the plan → resume
+    /// whenever a re-plan is due), driving `events` to the final report.
+    fn run_epochs(
+        g: &BipartiteGraph,
+        mut plan: ShardPlan,
+        cfg: &ServiceConfig,
+        events: &[Arrival],
+        sink: &mut impl DecisionSink,
+    ) -> ServiceReport {
+        let mut idx = 0usize;
+        let mut carried: Option<CarriedState> = None;
+        loop {
+            let mut svc = match carried.take() {
+                None => DispatchService::new(g, &plan, cfg.clone()),
+                Some(c) => DispatchService::resume(g, &plan, c, sink),
+            };
+            while idx < events.len() {
+                let a = events[idx];
+                while let OfferOutcome::Deferred = svc.offer(a) {
+                    svc.pump(sink);
+                }
+                idx += 1;
+                svc.pump(sink);
+                if svc.replan_due() {
+                    break;
+                }
+            }
+            if idx >= events.len() {
+                return svc.finish(sink);
+            }
+            let c = svc.detach();
+            plan = ShardPlan::build(g, c.live_weights(), plan.n_shards(), plan.routing);
+            carried = Some(c);
+        }
+    }
+
+    /// Drift-driven re-planning: the epoch loop fires on a drifting trace,
+    /// migrates nodes, and keeps every safety invariant.
     #[test]
     fn replan_epoch_loop_migrates_and_stays_feasible() {
         let (g, w) = universe();
@@ -2401,38 +2139,14 @@ mod tests {
             .generate(g.n_workers(), g.n_tasks());
             BenefitDrift::new(&g, 0.3, 7).weave(trace.into_iter().map(Arrival::from_trace))
         };
-        let mut plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
+        let plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
         let mut cfg = deterministic_cfg();
         // Hair-trigger threshold so the drifting trace actually fires it
         // (several times — the loop must survive repeated migrations).
         cfg.replan_threshold = Some(1e-6);
         cfg.boundary_pass = true;
         let mut sink = CollectSink::default();
-        let mut idx = 0usize;
-        let mut carried: Option<CarriedState> = None;
-        let report = loop {
-            let mut svc = match carried.take() {
-                None => DispatchService::new(&g, &plan, cfg.clone()),
-                Some(c) => DispatchService::resume(&g, &plan, c, &mut sink),
-            };
-            while idx < events.len() {
-                let a = events[idx];
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(&mut sink);
-                }
-                idx += 1;
-                svc.pump(&mut sink);
-                if svc.replan_due() {
-                    break;
-                }
-            }
-            if idx >= events.len() {
-                break svc.finish(&mut sink);
-            }
-            let c = svc.detach();
-            plan = ShardPlan::build(&g, c.live_weights(), 4, plan.routing);
-            carried = Some(c);
-        };
+        let report = run_epochs(&g, plan, &cfg, &events, &mut sink);
         assert!(report.replans > 0, "threshold 1e-6 never fired");
         assert_eq!(report.capacity_violations, 0);
         assert_eq!(report.events_in, events.len() as u64);
@@ -2441,15 +2155,16 @@ mod tests {
             report.events_processed + report.invalid_events
         );
         // Net assignment deltas reconcile across the plan changes.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
+    }
+
+    /// Net assignment count of a decision stream (assigns − unassigns).
+    fn net_assignments(sink: &CollectSink) -> i64 {
+        let delta = |d: &Decision| match d.action {
+            Action::Assign => 1i64,
+            Action::Unassign => -1i64,
+        };
+        sink.decisions.iter().map(delta).sum()
     }
 
     #[test]
@@ -2554,16 +2269,11 @@ mod tests {
             report.online_warm_solves, report.online_fallbacks,
             "healthy shards must solve on every fallback"
         );
+        // Warm solves feed the solve-latency histogram.
+        assert!(report.max_solve_ms > 0.0);
+        assert!(report.p99_solve_ms > 0.0);
         // Net assignment deltas equal the final assignment.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
         // Ingress accounting closes in online mode too.
         assert_eq!(
             report.events_in,
@@ -2610,51 +2320,24 @@ mod tests {
     }
 
     /// Online mode survives drift-driven re-plan migrations: warm solvers
-    /// are rebuilt for the new topology and counters carry over.
+    /// are rebuilt for the new topology and the online counters carry over
+    /// with the rest of the run state.
     #[test]
     fn online_replan_loop_migrates_and_stays_feasible() {
         let (g, w) = universe();
         let events = stream(&g, 37);
-        let mut plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
+        let plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
         let mut cfg = online_cfg(0.1);
         cfg.replan_threshold = Some(1e-6);
         let mut sink = CollectSink::default();
-        let mut idx = 0usize;
-        let mut carried: Option<CarriedState> = None;
-        let report = loop {
-            let mut svc = match carried.take() {
-                None => DispatchService::new(&g, &plan, cfg.clone()),
-                Some(c) => DispatchService::resume(&g, &plan, c, &mut sink),
-            };
-            while idx < events.len() {
-                let a = events[idx];
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(&mut sink);
-                }
-                idx += 1;
-                svc.pump(&mut sink);
-                if svc.replan_due() {
-                    break;
-                }
-            }
-            if idx >= events.len() {
-                break svc.finish(&mut sink);
-            }
-            let c = svc.detach();
-            plan = ShardPlan::build(&g, c.live_weights(), 4, plan.routing);
-            carried = Some(c);
-        };
+        let report = run_epochs(&g, plan, &cfg, &events, &mut sink);
         assert!(report.replans > 0, "threshold 1e-6 never fired");
         assert_eq!(report.capacity_violations, 0);
         assert!(report.online_events > 0);
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(report.online_events, report.events_processed);
+        // No shard is poisoned, so every fallback is a warm solve.
+        assert_eq!(report.online_warm_solves, report.online_fallbacks);
+        assert_eq!(report.decisions, sink.decisions.len() as u64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
     }
 }

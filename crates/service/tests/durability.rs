@@ -9,12 +9,14 @@
 //! defined, and a seeded SplitMix64 picks the crash points so the test is
 //! reproducible yet not hand-picked.
 
+mod common;
+
 use mbta_graph::random::{random_bipartite, RandomGraphSpec};
 use mbta_graph::BipartiteGraph;
 use mbta_service::shard::UNMAPPED;
 use mbta_service::{
-    recover, Action, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, Decision,
-    DecisionSink, DispatchService, DropPolicy, DurableStore, FsyncPolicy, OfferOutcome,
+    recover, Action, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, CollectSink,
+    Decision, DecisionSink, DispatchService, DropPolicy, DurableStore, FsyncPolicy, OfferOutcome,
     RecoveredState, Routing, ServiceConfig, ServiceEvent, ShardPlan, StoreConfig,
 };
 use mbta_store::wal::segment_files;
@@ -214,11 +216,16 @@ fn assert_recovery_matches(
         "retained weight diverged: recovered {total}, expected {expect_weight}"
     );
 
-    // Zero capacity violations on the universe graph.
+    assert_feasible(g, got.iter().map(|&(_, e)| e));
+}
+
+/// Asserts the assigned `edges` violate no capacity on the universe graph
+/// and no edge is assigned twice.
+fn assert_feasible(g: &BipartiteGraph, edges: impl Iterator<Item = u32>) {
     let mut w_load = vec![0u32; g.n_workers()];
     let mut t_load = vec![0u32; g.n_tasks()];
     let mut seen = BTreeSet::new();
-    for &(_, e) in &got {
+    for e in edges {
         assert!(seen.insert(e), "edge {e} assigned in two shards");
         let edge = mbta_graph::EdgeId::new(e);
         w_load[g.worker_of(edge).index()] += 1;
@@ -406,6 +413,49 @@ fn online_crash_recovers_event_granular_state() {
         "with fsync=always every journaled online record must be durable"
     );
     assert_recovery_matches(&g, &plan, &w, &events, &sink, &state);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Online records and re-plan migrations share one WAL: a hair-trigger
+/// re-plan run in online mode, snapshotting every 4 records, recovers to
+/// exactly the live final state. Edge sets are compared because re-plans
+/// relabel shards.
+#[test]
+fn online_replans_recover_to_the_live_state() {
+    let (g, w) = universe();
+    let events = stream(&g, 83);
+    let mut online_cfg = cfg();
+    online_cfg.online = Some(mbta_service::OnlineConfig {
+        drift_threshold: 0.1,
+    });
+    online_cfg.replan_threshold = Some(1e-6);
+    let dir = tmp("online-replan");
+    let (store, _) = DurableStore::open(&dir, store_cfg(4)).unwrap();
+    let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+    let mut sink = CollectSink::default();
+    let report = common::run_epochs(&g, plan, &online_cfg, Some(store), &events, &mut sink);
+    assert!(report.replans > 0, "threshold 1e-6 never fired");
+    assert!(report.online_events > 0);
+    assert!(report.store_error.is_none(), "{:?}", report.store_error);
+
+    let mut live = BTreeSet::new();
+    for d in &sink.decisions {
+        match d.action {
+            Action::Assign => live.insert(d.edge),
+            Action::Unassign => live.remove(&d.edge),
+        };
+    }
+    let state = recover(&dir).unwrap();
+    assert_eq!(state.watermark, report.batches, "every commit is durable");
+    let recovered: BTreeSet<u32> = state.shards.iter().flatten().copied().collect();
+    assert_eq!(recovered, live, "recovered assignment diverged");
+    assert!(
+        (state.total_weight() - report.final_value).abs() < 1e-9,
+        "recovered weight {} vs live {}",
+        state.total_weight(),
+        report.final_value
+    );
+    assert_feasible(&g, recovered.into_iter());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

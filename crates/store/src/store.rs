@@ -22,9 +22,7 @@
 //!    suffix of a valid store directory recovers to some valid prefix
 //!    state.
 
-use crate::record::{
-    BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
-};
+use crate::record::WalRecord;
 use crate::snapshot::{self, SnapshotState};
 use crate::wal::{self, FsyncPolicy, Wal, WalConfig};
 use std::collections::BTreeSet;
@@ -134,14 +132,29 @@ impl RecoveredState {
     }
 }
 
-/// The shared fold both batch and online records replay with: weight
-/// deltas first, then assignment deltas.
-fn apply_changes(
+/// The one replay fold, shared by recovery and WAL followers. Batch and
+/// online records apply their weight deltas first, then their assignment
+/// deltas. A plan (migration) record carries the full post-migration
+/// assignment per shard, so it replaces the shard structure wholesale and
+/// leaves weights untouched — a migration moves edges between shards, it
+/// does not change their live benefit.
+pub(crate) fn apply_record(
     shards: &mut Vec<BTreeSet<u32>>,
     weights: &mut Vec<f64>,
-    deltas: &[WeightDelta],
-    decisions: &[DecisionRecord],
+    rec: &WalRecord,
 ) {
+    let (deltas, decisions) = match rec {
+        WalRecord::Batch(r) => (&r.deltas, &r.decisions),
+        WalRecord::Online(r) => (&r.deltas, &r.decisions),
+        WalRecord::Plan(r) => {
+            *shards = r
+                .shards
+                .iter()
+                .map(|s| s.iter().copied().collect())
+                .collect();
+            return;
+        }
+    };
     let touch = |weights: &mut Vec<f64>, edge: u32, w: f64| {
         let i = edge as usize;
         if weights.len() <= i {
@@ -167,37 +180,6 @@ fn apply_changes(
             shards[s].remove(&d.edge);
         }
     }
-}
-
-pub(crate) fn apply_record(
-    shards: &mut Vec<BTreeSet<u32>>,
-    weights: &mut Vec<f64>,
-    rec: &BatchRecord,
-) {
-    apply_changes(shards, weights, &rec.deltas, &rec.decisions);
-}
-
-/// Applies an online (per-event decision) record — the identical fold as
-/// a batch record; only the audit metadata differs.
-pub(crate) fn apply_online(
-    shards: &mut Vec<BTreeSet<u32>>,
-    weights: &mut Vec<f64>,
-    rec: &OnlineRecord,
-) {
-    apply_changes(shards, weights, &rec.deltas, &rec.decisions);
-}
-
-/// Applies a shard-plan (migration) record: the record carries the full
-/// post-migration assignment per shard, so replay replaces the shard
-/// structure wholesale. Weights are untouched — a migration moves edges
-/// between shards, it does not change their live benefit.
-pub(crate) fn apply_plan(shards: &mut Vec<BTreeSet<u32>>, rec: &PlanRecord) {
-    shards.clear();
-    shards.extend(
-        rec.shards
-            .iter()
-            .map(|s| s.iter().copied().collect::<BTreeSet<u32>>()),
-    );
 }
 
 /// Scans `dir` once: latest valid snapshot + WAL tail replay. Also
@@ -226,11 +208,7 @@ fn scan(dir: &Path) -> io::Result<(RecoveredState, Option<(PathBuf, u64)>)> {
         if rec.seq() != out.watermark {
             break; // gap — nothing past it is trustworthy
         }
-        match rec {
-            WalRecord::Batch(rec) => apply_record(&mut shards, &mut out.weights, rec),
-            WalRecord::Plan(rec) => apply_plan(&mut shards, rec),
-            WalRecord::Online(rec) => apply_online(&mut shards, &mut out.weights, rec),
-        }
+        apply_record(&mut shards, &mut out.weights, rec);
         out.watermark += 1;
         out.records_replayed += 1;
     }
@@ -295,43 +273,20 @@ impl DurableStore {
         Ok((store, recovered))
     }
 
-    /// Journals one committed batch. Must be called *before* the batch's
-    /// decisions are released to any sink, with strictly sequential
-    /// sequence numbers.
-    pub fn commit(&mut self, rec: &BatchRecord) -> io::Result<()> {
+    /// Journals one record — a batch, an online (per-event) decision set
+    /// or a shard-plan migration; all three share one sequence space, so
+    /// recovery and followers replay a migration at exactly the boundary
+    /// it happened. Must be called *before* the record's decisions are
+    /// released to any sink, with strictly sequential sequence numbers.
+    pub fn commit(&mut self, rec: &WalRecord) -> io::Result<()> {
         assert_eq!(
-            rec.seq, self.watermark,
+            rec.seq(),
+            self.watermark,
             "store commits must be sequential (got seq {}, expected {})",
-            rec.seq, self.watermark
+            rec.seq(),
+            self.watermark
         );
         self.wal.append(rec)?;
-        self.watermark += 1;
-        Ok(())
-    }
-
-    /// Journals one shard-plan migration. Plan records consume a slot in
-    /// the same sequence space as batches, so followers and recovery
-    /// replay the migration at exactly the batch boundary it happened.
-    pub fn commit_plan(&mut self, rec: &PlanRecord) -> io::Result<()> {
-        assert_eq!(
-            rec.seq, self.watermark,
-            "store commits must be sequential (got plan seq {}, expected {})",
-            rec.seq, self.watermark
-        );
-        self.wal.append_plan(rec)?;
-        self.watermark += 1;
-        Ok(())
-    }
-
-    /// Journals one online (per-event decision) record. Same write-ahead
-    /// contract and sequence space as [`DurableStore::commit`].
-    pub fn commit_online(&mut self, rec: &OnlineRecord) -> io::Result<()> {
-        assert_eq!(
-            rec.seq, self.watermark,
-            "store commits must be sequential (got online seq {}, expected {})",
-            rec.seq, self.watermark
-        );
-        self.wal.append_online(rec)?;
         self.watermark += 1;
         Ok(())
     }
@@ -433,7 +388,7 @@ fn repair(dir: &Path, torn_path: &Path, durable_len: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{DecisionRecord, WeightDelta};
+    use crate::record::{BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WeightDelta};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -445,7 +400,7 @@ mod tests {
     /// A deterministic little workload: batch `seq` assigns edge `seq`
     /// to shard `seq % 2` with weight `1 + seq`, and unassigns edge
     /// `seq - 3` (once it exists) from its shard.
-    fn rec(seq: u64) -> BatchRecord {
+    fn rec(seq: u64) -> WalRecord {
         let mut decisions = vec![DecisionRecord {
             shard: (seq % 2) as u32,
             edge: seq as u32,
@@ -465,7 +420,7 @@ mod tests {
                 weight: 1.0 + old as f64,
             });
         }
-        BatchRecord {
+        WalRecord::Batch(BatchRecord {
             seq,
             first_time: seq as f64,
             last_time: seq as f64 + 0.25,
@@ -475,7 +430,7 @@ mod tests {
                 weight: 1.0 + seq as f64,
             }],
             decisions,
-        }
+        })
     }
 
     fn run(store: &mut DurableStore, seqs: std::ops::Range<u64>) {
@@ -531,7 +486,7 @@ mod tests {
         // swaps the assignment to edge 10; batch 2 assigns edge 2.
         store.commit(&rec(0)).unwrap();
         store
-            .commit_online(&OnlineRecord {
+            .commit(&WalRecord::Online(OnlineRecord {
                 seq: 1,
                 time: 1.5,
                 events: 3,
@@ -558,7 +513,7 @@ mod tests {
                         weight: 9.0,
                     },
                 ],
-            })
+            }))
             .unwrap();
         store.commit(&rec(2)).unwrap();
         drop(store); // no seal: recovery must replay all three kinds
@@ -676,14 +631,14 @@ mod tests {
         // Migrate: shard 0 and 1 swap their surviving edges, and the plan
         // consumes seq 4.
         let before = recover(&dir).unwrap();
-        let plan = PlanRecord {
+        let plan = WalRecord::Plan(PlanRecord {
             seq: 4,
             retained_weight: before.total_weight(),
             moved_workers: 2,
             moved_tasks: 1,
             shards: vec![before.shards[1].clone(), before.shards[0].clone()],
-        };
-        store.commit_plan(&plan).unwrap();
+        });
+        store.commit(&plan).unwrap();
         // Batches continue after the migration in the same seq space.
         store.commit(&rec(5)).unwrap();
         drop(store);

@@ -22,7 +22,7 @@
 
 use crate::record::WalRecord;
 use crate::snapshot::SnapshotState;
-use crate::store::{apply_online, apply_plan, apply_record, RecoveredState};
+use crate::store::{apply_record, RecoveredState};
 use crate::wal::segment_files;
 use crate::{read_frame, FrameRead};
 use std::collections::BTreeSet;
@@ -247,11 +247,7 @@ impl FollowerState {
             rec.seq(),
             self.watermark
         );
-        match rec {
-            WalRecord::Batch(rec) => apply_record(&mut self.shards, &mut self.weights, rec),
-            WalRecord::Plan(rec) => apply_plan(&mut self.shards, rec),
-            WalRecord::Online(rec) => apply_online(&mut self.shards, &mut self.weights, rec),
-        }
+        apply_record(&mut self.shards, &mut self.weights, rec);
         self.watermark += 1;
         self.records_applied += 1;
     }
@@ -330,7 +326,7 @@ mod tests {
     }
 
     /// Same deterministic workload the store tests use.
-    fn rec(seq: u64) -> BatchRecord {
+    fn rec(seq: u64) -> WalRecord {
         let mut decisions = vec![DecisionRecord {
             shard: (seq % 2) as u32,
             edge: seq as u32,
@@ -350,7 +346,7 @@ mod tests {
                 weight: 1.0 + old as f64,
             });
         }
-        BatchRecord {
+        WalRecord::Batch(BatchRecord {
             seq,
             first_time: seq as f64,
             last_time: seq as f64 + 0.25,
@@ -360,7 +356,7 @@ mod tests {
                 weight: 1.0 + seq as f64,
             }],
             decisions,
-        }
+        })
     }
 
     #[test]
@@ -530,14 +526,14 @@ mod tests {
         }
         // A migration swaps shards 0 and 1 at seq 3; batches continue.
         let pre = recover(&dir).unwrap();
-        let plan = PlanRecord {
+        let plan = WalRecord::Plan(PlanRecord {
             seq: 3,
             retained_weight: pre.total_weight(),
             moved_workers: 1,
             moved_tasks: 1,
             shards: vec![pre.shards[1].clone(), pre.shards[0].clone()],
-        };
-        store.commit_plan(&plan).unwrap();
+        });
+        store.commit(&plan).unwrap();
         store.commit(&rec(4)).unwrap();
         let p = tail.poll().unwrap();
         assert_eq!(p.status, TailStatus::Clean);

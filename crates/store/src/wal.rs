@@ -4,7 +4,7 @@
 //! (the zero-padded first batch sequence number in the segment, so
 //! lexicographic order is numeric order). Each segment is a run of CRC
 //! frames (see [`crate::frame`]) whose payloads are encoded
-//! [`WalRecord`]s — batch decisions or shard-plan migrations, sharing a
+//! [`WalRecord`]s — batch or online decisions and shard-plan migrations, sharing a
 //! single strictly ascending `seq` space. A new segment starts
 //! when the current one crosses [`WalConfig::segment_bytes`]; compaction
 //! deletes whole segments whose records all fall at or below a snapshot
@@ -24,7 +24,7 @@
 //! `batch` — for far fewer syscalls on the per-event online path.
 
 use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::record::{BatchRecord, OnlineRecord, PlanRecord, WalRecord};
+use crate::record::WalRecord;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -121,7 +121,7 @@ pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segs)
 }
 
-/// The writer half: appends [`BatchRecord`]s to the active segment.
+/// The writer half: appends [`WalRecord`]s to the active segment.
 pub struct Wal {
     dir: PathBuf,
     cfg: WalConfig,
@@ -170,37 +170,22 @@ impl Wal {
         self.bytes
     }
 
-    /// Appends one batch record, honouring the fsync policy. Rolls to a
-    /// new segment first if the active one is full.
-    pub fn append(&mut self, rec: &BatchRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    /// Appends one shard-plan record. Plan frames share the sequence
-    /// space with batch frames, so replay and followers see a single
-    /// totally-ordered stream.
-    pub fn append_plan(&mut self, rec: &PlanRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    /// Appends one online (per-event decision) record. Online frames
-    /// share the sequence space with batch and plan frames.
-    pub fn append_online(&mut self, rec: &OnlineRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    fn append_payload(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
+    /// Appends one record, honouring the fsync policy. Rolls to a new
+    /// segment first if the active one is full. Batch, plan and online
+    /// frames share one sequence space, so replay and followers see a
+    /// single totally-ordered stream.
+    pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
         let roll = match &self.active {
             Some(seg) => seg.len + self.pending.len() as u64 >= self.cfg.segment_bytes,
             None => true,
         };
         if roll {
-            self.roll(seq)?;
+            self.roll(rec.seq())?;
         }
         // Frames land in the group-commit buffer first; with the default
         // window of 1 the buffer drains to the file on this very append.
         let before = self.pending.len();
-        write_frame(&mut self.pending, payload);
+        write_frame(&mut self.pending, &rec.encode());
         let frame_len = (self.pending.len() - before) as u64;
         self.pending_records += 1;
         self.records += 1;
@@ -376,7 +361,7 @@ pub fn replay(dir: &Path) -> io::Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BatchRecord, WeightDelta};
+    use crate::record::{BatchRecord, PlanRecord, WeightDelta};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -386,8 +371,8 @@ mod tests {
         dir
     }
 
-    fn rec(seq: u64) -> BatchRecord {
-        BatchRecord {
+    fn rec(seq: u64) -> WalRecord {
+        WalRecord::Batch(BatchRecord {
             seq,
             first_time: seq as f64,
             last_time: seq as f64 + 0.5,
@@ -397,7 +382,7 @@ mod tests {
                 weight: 1.0 + seq as f64,
             }],
             decisions: vec![],
-        }
+        })
     }
 
     #[test]
@@ -409,10 +394,7 @@ mod tests {
         }
         wal.sync().unwrap();
         let replayed = replay(&dir).unwrap();
-        assert_eq!(
-            replayed.records,
-            (0..5).map(|s| WalRecord::Batch(rec(s))).collect::<Vec<_>>()
-        );
+        assert_eq!(replayed.records, (0..5).map(rec).collect::<Vec<_>>());
         assert_eq!(replayed.truncated_bytes, 0);
         assert_eq!(replayed.segments, 1);
         assert!(replayed.torn.is_none());
@@ -424,25 +406,18 @@ mod tests {
         let dir = tmp("plan-frames");
         let mut wal = Wal::open(&dir, WalConfig::default()).unwrap();
         wal.append(&rec(0)).unwrap();
-        let plan = PlanRecord {
+        let plan = WalRecord::Plan(PlanRecord {
             seq: 1,
             retained_weight: 0.5,
             moved_workers: 2,
             moved_tasks: 3,
             shards: vec![vec![0, 4], vec![1]],
-        };
-        wal.append_plan(&plan).unwrap();
+        });
+        wal.append(&plan).unwrap();
         wal.append(&rec(2)).unwrap();
         wal.sync().unwrap();
         let replayed = replay(&dir).unwrap();
-        assert_eq!(
-            replayed.records,
-            vec![
-                WalRecord::Batch(rec(0)),
-                WalRecord::Plan(plan),
-                WalRecord::Batch(rec(2)),
-            ]
-        );
+        assert_eq!(replayed.records, vec![rec(0), plan, rec(2)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,7 +4,7 @@
 //! recovers a clean record prefix — the "truncate-anywhere" guarantee the
 //! crash-recovery path is built on.
 
-use mbta_store::record::{BatchRecord, DecisionRecord, WeightDelta};
+use mbta_store::record::{BatchRecord, DecisionRecord, WalRecord, WeightDelta};
 use mbta_store::store::recover;
 use mbta_store::wal::{segment_files, FsyncPolicy, Wal, WalConfig};
 use proptest::collection::vec;
@@ -129,7 +129,7 @@ proptest! {
             ..WalConfig::default()
         }).unwrap();
         for rec in &recs {
-            wal.append(rec).unwrap();
+            wal.append(&WalRecord::Batch(rec.clone())).unwrap();
         }
         drop(wal);
 
