@@ -38,9 +38,6 @@
 //!   (experiment F20).
 //! * [`rotation`] — repeated rounds with load rotation: temporal fairness
 //!   across the worker pool (experiment F22).
-//! * [`warm`] — warm-started exact re-solves for long-lived shard states:
-//!   carried node potentials + seeded flow over a fixed topology (the
-//!   online drift-fallback engine).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,7 +54,6 @@ pub mod online;
 pub mod pipeline;
 pub mod report;
 pub mod rotation;
-pub mod warm;
 
 pub use algorithms::{solve, Algorithm};
 pub use engine::{solve_robust, EngineConfig, EngineError, EngineSolution, QualityTier};

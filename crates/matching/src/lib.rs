@@ -10,7 +10,8 @@
 //!
 //! * [`mcmf`] — min-cost max-flow (successive shortest augmenting paths,
 //!   Dijkstra + Johnson potentials, with an SPFA variant for the ablation
-//!   bench). The **exact** solver for weighted b-matching (`ExactMB`).
+//!   bench) and its optimality certificates. The **exact** solver for
+//!   weighted b-matching (`ExactMB`).
 //! * [`hungarian`] — Kuhn–Munkres O(n³), dense; exact for one-to-one
 //!   assignment on small instances; used as a cross-validation oracle.
 //! * [`auction`] — Bertsekas' auction (single-phase, ε = 1); the third
@@ -31,9 +32,10 @@
 //!   reference baseline.
 //! * [`online`] — irrevocable arrival-order assignment policies (greedy,
 //!   ranking, two-phase sample-then-threshold).
-//! * [`warm`] — a reusable MCMF network ([`warm::WarmNet`]) that carries
-//!   potentials and seeded flow across repeated solves on a fixed
-//!   topology; the exact engine behind the service's online fallback.
+//! * [`warm`] — the one bipartite MCMF network ([`warm::WarmNet`]): a
+//!   cold [`mcmf`] solve is a `WarmNet` with no prior, and the service's
+//!   online fallback keeps one per shard to carry potentials and seeded
+//!   flow across repeated solves on a fixed topology.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,6 +7,12 @@
 //! the edge's benefit ([`mbta_util::fixed`]). Integer costs make every
 //! comparison exact; no float drift across thousands of augmentations.
 //!
+//! [`crate::warm::WarmNet`] is the one place that network is built: a cold
+//! solve here is a `WarmNet` with no prior and an empty seed, and the
+//! certificate verifier applies the matching to one as its seed flow.
+//! [`CostFlow`] runs every search on it: one successive-shortest-path loop
+//! and one queue Bellman–Ford.
+//!
 //! Two path-finding strategies are provided (the F12 ablation):
 //!
 //! * [`PathAlgo::Dijkstra`] — successive shortest augmenting paths on
@@ -27,8 +33,8 @@
 //!   assignments, the most profitable one.
 
 use crate::solution::Matching;
+use crate::warm::WarmNet;
 use mbta_graph::BipartiteGraph;
-use mbta_util::fixed::benefit_to_profit;
 use mbta_util::{IndexedHeap, SolveCtl};
 
 pub(crate) const NONE: u32 = u32::MAX;
@@ -63,8 +69,31 @@ pub struct CostFlow {
     pub(crate) n_nodes: usize,
 }
 
+/// Node potentials plus the labels of the last path search: the state a
+/// solve keeps besides the flow.
+#[derive(Debug, Clone)]
+pub(crate) struct Labels {
+    /// Johnson potentials: searches run on reduced costs
+    /// `cost + π[u] − π[v]`.
+    pub(crate) pi: Vec<i64>,
+    pub(crate) dist: Vec<i64>,
+    pub(crate) parent: Vec<u32>,
+    heap: IndexedHeap<i64>,
+}
+
+impl Labels {
+    pub(crate) fn new(n_nodes: usize) -> Labels {
+        Labels {
+            pi: vec![0; n_nodes],
+            dist: vec![INF; n_nodes],
+            parent: vec![NONE; n_nodes],
+            heap: IndexedHeap::new(n_nodes),
+        }
+    }
+}
+
 /// Result of a [`CostFlow::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowResult {
     /// Total flow pushed.
     pub flow: u64,
@@ -75,6 +104,18 @@ pub struct FlowResult {
     /// Number of nonzero Johnson-potential adjustments performed across
     /// all iterations (0 for SPFA, which runs without potentials).
     pub potential_updates: u64,
+}
+
+/// How a [`CostFlow::bellman_ford`] pass ended.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Relaxed {
+    /// The labels converged to shortest distances.
+    Converged,
+    /// `ctl` stopped the pass; the labels must not be used.
+    Stopped,
+    /// The cycle guard tripped: the parent chain of this node leads into
+    /// a negative residual cycle.
+    Cycle(usize),
 }
 
 impl CostFlow {
@@ -146,36 +187,131 @@ impl CostFlow {
         algo: PathAlgo,
         ctl: &SolveCtl,
     ) -> (FlowResult, bool) {
+        let mut lb = Labels::new(self.n_nodes);
+        self.run_from(&mut lb, source, sink, mode, algo, ctl)
+    }
+
+    /// [`run_with_ctl`](Self::run_with_ctl) on caller-owned labels, which
+    /// keep the final potentials.
+    pub(crate) fn run_from(
+        &mut self,
+        lb: &mut Labels,
+        source: usize,
+        sink: usize,
+        mode: FlowMode,
+        algo: PathAlgo,
+        ctl: &SolveCtl,
+    ) -> (FlowResult, bool) {
         assert_ne!(source, sink);
-        match algo {
-            PathAlgo::Dijkstra => {
-                let (r, _, completed) = self.run_dijkstra_with_potentials(source, sink, mode, ctl);
-                (r, completed)
+        lb.pi.fill(0);
+        if algo == PathAlgo::Dijkstra {
+            // One pass on raw costs (negative arcs, no negative cycles)
+            // makes every reduced cost non-negative.
+            let pass = self.bellman_ford(Some(source), false, &mut lb.dist, &mut lb.parent, ctl);
+            if pass != Relaxed::Converged {
+                return (FlowResult::default(), false);
             }
-            PathAlgo::Spfa => self.run_spfa(source, sink, mode, ctl),
+            for (p, &d) in lb.pi.iter_mut().zip(&lb.dist) {
+                *p = if d >= INF { 0 } else { d };
+            }
+        }
+        self.ssp(lb, source, sink, mode, algo, ctl)
+    }
+
+    /// The successive-shortest-path loop from the current flow and
+    /// potentials: search a cheapest augmenting path (Dijkstra on reduced
+    /// costs, or SPFA on raw costs with `π = 0`), push its bottleneck,
+    /// and under Dijkstra shift `π` so reduced costs stay non-negative.
+    /// Returns `(result, completed)`; `completed` is `false` when `ctl`
+    /// stopped it, leaving the flow pushed so far (a feasible prefix).
+    pub(crate) fn ssp(
+        &mut self,
+        lb: &mut Labels,
+        source: usize,
+        sink: usize,
+        mode: FlowMode,
+        algo: PathAlgo,
+        ctl: &SolveCtl,
+    ) -> (FlowResult, bool) {
+        let Labels {
+            pi,
+            dist,
+            parent,
+            heap,
+        } = lb;
+        let mut r = FlowResult::default();
+        loop {
+            // An interrupted search leaves partial labels that would
+            // corrupt the potential update; discard it.
+            let found = !ctl.stop_requested()
+                && match algo {
+                    PathAlgo::Dijkstra => self.dijkstra(source, sink, pi, dist, parent, heap, ctl),
+                    PathAlgo::Spfa => {
+                        self.bellman_ford(Some(source), false, dist, parent, ctl)
+                            == Relaxed::Converged
+                    }
+                };
+            if !found {
+                return (r, false);
+            }
+            if dist[sink] >= INF {
+                return (r, true);
+            }
+            let true_cost = dist[sink] + pi[sink] - pi[source];
+            if mode == FlowMode::FreeCardinality && true_cost >= 0 {
+                return (r, true);
+            }
+            r.iterations += 1;
+            let (pushed, path_cost) = self.augment(source, sink, parent);
+            debug_assert_eq!(path_cost, true_cost);
+            r.flow += u64::from(pushed);
+            r.cost += i64::from(pushed) * path_cost;
+            if algo == PathAlgo::Dijkstra {
+                let dt = dist[sink];
+                for (p, &d) in pi.iter_mut().zip(dist.iter()) {
+                    let adj = d.min(dt);
+                    *p += adj;
+                    r.potential_updates += u64::from(adj != 0);
+                }
+            }
         }
     }
 
-    /// SPFA (queue Bellman–Ford) shortest path on raw residual costs.
-    /// Fills `dist` and `parent_arc`; returns `false` if stopped early by
-    /// `ctl` (in which case the labels must not be used for augmentation).
-    pub(crate) fn spfa(
+    /// Queue Bellman–Ford (SPFA) over the residual graph on raw costs,
+    /// filling `dist` and `parent`. `from = None` starts every node at
+    /// distance 0 (a virtual super-source), which — absent negative
+    /// cycles — yields globally valid potentials. With `guard`, a
+    /// relaxation chain longer than |V| arcs, which must repeat a node and
+    /// so exists only around a negative cycle, ends the pass.
+    pub(crate) fn bellman_ford(
         &self,
-        source: usize,
+        from: Option<usize>,
+        guard: bool,
         dist: &mut [i64],
-        parent_arc: &mut [u32],
+        parent: &mut [u32],
         ctl: &SolveCtl,
-    ) -> bool {
-        dist.iter_mut().for_each(|d| *d = INF);
-        parent_arc.iter_mut().for_each(|p| *p = NONE);
-        let mut in_queue = vec![false; self.n_nodes];
-        let mut queue = std::collections::VecDeque::with_capacity(self.n_nodes);
-        dist[source] = 0;
-        queue.push_back(source as u32);
-        in_queue[source] = true;
+    ) -> Relaxed {
+        let n = self.n_nodes;
+        parent.fill(NONE);
+        let mut len = vec![0u32; if guard { n } else { 0 }];
+        let mut in_queue = vec![false; n];
+        let mut queue = std::collections::VecDeque::with_capacity(n);
+        match from {
+            Some(s) => {
+                dist.fill(INF);
+                dist[s] = 0;
+                queue.push_back(s as u32);
+                in_queue[s] = true;
+            }
+            None => {
+                dist.fill(0);
+                queue.extend(0..n as u32);
+                in_queue.fill(true);
+            }
+        }
         while let Some(v) = queue.pop_front() {
             if ctl.should_stop() {
-                return false;
+                return Relaxed::Stopped;
             }
             let v = v as usize;
             in_queue[v] = false;
@@ -188,7 +324,13 @@ impl CostFlow {
                     let nd = dv + self.cost[ai];
                     if nd < dist[to] {
                         dist[to] = nd;
-                        parent_arc[to] = a;
+                        parent[to] = a;
+                        if guard {
+                            len[to] = len[v] + 1;
+                            if len[to] > n as u32 {
+                                return Relaxed::Cycle(to);
+                            }
+                        }
                         if !in_queue[to] {
                             in_queue[to] = true;
                             queue.push_back(to as u32);
@@ -198,11 +340,14 @@ impl CostFlow {
                 a = self.next[ai];
             }
         }
-        true
+        Relaxed::Converged
     }
 
-    /// Dijkstra on reduced costs `cost + π[u] − π[v]`, terminating as soon
-    /// as `sink` is finalized.
+    /// Dijkstra from `source` on reduced costs `cost + π[u] − π[v]`,
+    /// terminating as soon as `sink` is finalized. Returns `false` if
+    /// stopped early by `ctl`. The labels come in as separate slices so
+    /// the compiler can keep them apart from the arc arrays in the hot
+    /// loop.
     ///
     /// Early termination is sound together with the potential update
     /// `π[v] += min(dist[v], dist[sink])` (treating untouched nodes as
@@ -211,19 +356,19 @@ impl CostFlow {
     /// classic argument; any node adjacent to a finalized node was relaxed,
     /// and all still-queued tentative distances are `≥ dist[sink]` at the
     /// moment the sink pops, which covers the remaining cases.
-    #[allow(clippy::too_many_arguments)] // internal: scratch buffers + ctl
+    #[allow(clippy::too_many_arguments)] // internal: labels + ctl
     pub(crate) fn dijkstra(
         &self,
         source: usize,
         sink: usize,
         pi: &[i64],
         dist: &mut [i64],
-        parent_arc: &mut [u32],
+        parent: &mut [u32],
         heap: &mut IndexedHeap<i64>,
         ctl: &SolveCtl,
     ) -> bool {
-        dist.iter_mut().for_each(|d| *d = INF);
-        parent_arc.iter_mut().for_each(|p| *p = NONE);
+        dist.fill(INF);
+        parent.fill(NONE);
         heap.clear();
         dist[source] = 0;
         heap.push_or_decrease(source, 0);
@@ -247,7 +392,7 @@ impl CostFlow {
                     let nd = dv + red;
                     if nd < dist[to] {
                         dist[to] = nd;
-                        parent_arc[to] = a;
+                        parent[to] = a;
                         heap.push_or_decrease(to, nd);
                     }
                 }
@@ -257,20 +402,20 @@ impl CostFlow {
         true
     }
 
-    /// Augments along parent arcs; returns `(bottleneck, true_path_cost)`.
-    pub(crate) fn augment(&mut self, source: usize, sink: usize, parent_arc: &[u32]) -> (u32, i64) {
+    /// Augments along `parent` arcs; returns `(bottleneck, true_path_cost)`.
+    fn augment(&mut self, source: usize, sink: usize, parent: &[u32]) -> (u32, i64) {
         let mut bottleneck = u32::MAX;
         let mut cost = 0i64;
         let mut v = sink;
         while v != source {
-            let a = parent_arc[v] as usize;
+            let a = parent[v] as usize;
             bottleneck = bottleneck.min(self.cap[a]);
             cost += self.cost[a];
             v = self.head[a ^ 1] as usize;
         }
         let mut v = sink;
         while v != source {
-            let a = parent_arc[v] as usize;
+            let a = parent[v] as usize;
             self.cap[a] -= bottleneck;
             self.cap[a ^ 1] += bottleneck;
             v = self.head[a ^ 1] as usize;
@@ -278,46 +423,14 @@ impl CostFlow {
         (bottleneck, cost)
     }
 
-    fn run_spfa(
-        &mut self,
-        source: usize,
-        sink: usize,
-        mode: FlowMode,
-        ctl: &SolveCtl,
-    ) -> (FlowResult, bool) {
-        let n = self.n_nodes;
-        let mut dist = vec![INF; n];
-        let mut parent_arc = vec![NONE; n];
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i64;
-        let mut iterations = 0u64;
-        let mut completed = true;
-        loop {
-            if ctl.stop_requested() || !self.spfa(source, &mut dist, &mut parent_arc, ctl) {
-                completed = false;
-                break;
-            }
-            if dist[sink] >= INF {
-                break;
-            }
-            if mode == FlowMode::FreeCardinality && dist[sink] >= 0 {
-                break;
-            }
-            iterations += 1;
-            let (pushed, path_cost) = self.augment(source, sink, &parent_arc);
-            debug_assert_eq!(path_cost, dist[sink]);
-            total_flow += u64::from(pushed);
-            total_cost += i64::from(pushed) * path_cost;
-        }
-        (
-            FlowResult {
-                flow: total_flow,
-                cost: total_cost,
-                iterations,
-                potential_updates: 0,
-            },
-            completed,
-        )
+    /// Whether every residual arc has non-negative reduced cost under `pi`:
+    /// the invariant the shortest-path loop both needs and keeps. Holding,
+    /// it proves the current flow min-cost for its value.
+    pub(crate) fn reduced_costs_ok(&self, pi: &[i64]) -> bool {
+        (0..self.head.len()).all(|a| {
+            let (from, to) = (self.head[a ^ 1] as usize, self.head[a] as usize);
+            self.cap[a] == 0 || self.cost[a] + pi[from] - pi[to] >= 0
+        })
     }
 }
 
@@ -332,8 +445,19 @@ pub struct SolveStats {
     pub profit: i64,
 }
 
-/// Publishes a solve's intrinsic counters to the global telemetry registry.
-fn record_solve(result: &FlowResult) {
+/// A cold exact solve — a fresh [`WarmNet`] with no prior and an empty
+/// seed — publishing its intrinsic counters to the telemetry registry.
+/// Returns the net (it holds the final potentials) with the outcome.
+fn solve_cold(
+    g: &BipartiteGraph,
+    weights: &[f64],
+    mode: FlowMode,
+    algo: PathAlgo,
+    ctl: &SolveCtl,
+) -> (WarmNet, Matching, SolveStats, bool) {
+    let mut warm = WarmNet::new(g);
+    warm.set_costs(weights);
+    let (result, completed) = warm.cold(mode, algo, ctl);
     mbta_telemetry::counter_add(
         "mbta_matching_mcmf_augmenting_paths_total",
         result.iterations,
@@ -342,6 +466,13 @@ fn record_solve(result: &FlowResult) {
         "mbta_matching_mcmf_potential_updates_total",
         result.potential_updates,
     );
+    let (m, profit) = warm.matching(g);
+    let stats = SolveStats {
+        iterations: result.iterations,
+        potential_updates: result.potential_updates,
+        profit,
+    };
+    (warm, m, stats, completed)
 }
 
 /// Exact maximum-weight b-matching via min-cost flow.
@@ -376,44 +507,8 @@ pub fn max_weight_bmatching(
     mode: FlowMode,
     algo: PathAlgo,
 ) -> (Matching, SolveStats) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let n_w = g.n_workers();
-    let n_t = g.n_tasks();
-    let source = 0usize;
-    let sink = 1 + n_w + n_t;
-    let mut net = CostFlow::new(sink + 1);
-    net.reserve(n_w + n_t + g.n_edges());
-    for w in g.workers() {
-        net.add_arc(source, 1 + w.index(), g.capacity(w), 0);
-    }
-    let mut edge_arcs = vec![NONE; g.n_edges()];
-    for e in g.edges() {
-        let profit = benefit_to_profit(weights[e.index()]);
-        let a = net.add_arc(
-            1 + g.worker_of(e).index(),
-            1 + n_w + g.task_of(e).index(),
-            1,
-            -profit,
-        );
-        edge_arcs[e.index()] = a;
-    }
-    for t in g.tasks() {
-        net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0);
-    }
-    let result = net.run(source, sink, mode, algo);
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-    )
+    let (_, m, stats, _) = solve_cold(g, weights, mode, algo, &SolveCtl::unlimited());
+    (m, stats)
 }
 
 /// Like [`max_weight_bmatching`], but consulting `ctl` so the solve can be
@@ -428,23 +523,8 @@ pub fn max_weight_bmatching_ctl(
     algo: PathAlgo,
     ctl: &SolveCtl,
 ) -> (Matching, SolveStats, bool) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let (mut net, edge_arcs, source, sink) = build_network(g, weights);
-    let (result, completed) = net.run_with_ctl(source, sink, mode, algo, ctl);
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-        completed,
-    )
+    let (_, m, stats, completed) = solve_cold(g, weights, mode, algo, ctl);
+    (m, stats, completed)
 }
 
 /// An optimality certificate for a b-matching: node potentials under which
@@ -452,10 +532,11 @@ pub fn max_weight_bmatching_ctl(
 ///
 /// By LP duality this proves the matching is maximum-weight (free
 /// cardinality): any improving change corresponds to a negative-cost
-/// residual cycle or a negative-cost augmenting path, and the certificate
-/// rules both out. [`verify_certificate`] re-checks the condition from
-/// scratch — a downstream user can validate an exact solution in O(V + E)
-/// without trusting the solver.
+/// residual cycle, a negative-cost augmenting path, or a negative-cost
+/// de-augmenting path, and the certificate rules all three out.
+/// [`verify_certificate`] re-checks the condition from scratch — a
+/// downstream user can validate an exact solution without trusting the
+/// solver.
 #[derive(Debug, Clone)]
 pub struct Certificate {
     /// Potentials: source, workers, tasks, sink (same node layout as the
@@ -469,235 +550,60 @@ pub fn max_weight_bmatching_certified(
     g: &BipartiteGraph,
     weights: &[f64],
 ) -> (Matching, SolveStats, Certificate) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let (net, edge_arcs, source, sink) = build_network(g, weights);
-    let mut net = net;
-    let (result, pi, _) = net.run_dijkstra_with_potentials(
-        source,
-        sink,
+    let (warm, m, stats, _) = solve_cold(
+        g,
+        weights,
         FlowMode::FreeCardinality,
+        PathAlgo::Dijkstra,
         &SolveCtl::unlimited(),
     );
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-        Certificate { potentials: pi },
-    )
+    let potentials = warm.labels.pi;
+    (m, stats, Certificate { potentials })
 }
 
 /// Verifies a certificate against a matching, from scratch.
 ///
-/// Rebuilds the flow network, applies the matching as a flow, and checks
+/// Builds the flow network, applies the matching as its flow, and checks
 /// that (a) the matching is feasible, (b) every residual arc has
-/// non-negative reduced cost under the certificate's potentials, and
-/// (c) no strictly profitable augmenting path remains
-/// (`π[sink] − π[source] ≥ 0` under the convention used by the solver).
+/// non-negative reduced cost under the certificate's potentials, and that
+/// no strictly profitable (c) source → sink augmenting path or (d) sink →
+/// source de-augmenting path remains.
 pub fn verify_certificate(
     g: &BipartiteGraph,
     weights: &[f64],
     m: &Matching,
     cert: &Certificate,
 ) -> bool {
-    if m.validate(g).is_err() {
-        return false;
-    }
-    let (mut net, edge_arcs, source, sink) = build_network(g, weights);
-    if cert.potentials.len() != net.n_nodes {
-        return false;
-    }
-    // Apply the matching as flow: saturate each chosen edge arc and push
-    // the per-node loads through the source/sink arcs.
-    let w_loads = m.worker_loads(g);
-    let t_loads = m.task_loads(g);
-    for &e in &m.edges {
-        let a = edge_arcs[e.index()] as usize;
-        net.cap[a] -= 1;
-        net.cap[a ^ 1] += 1;
-    }
-    // Source arcs were added in worker order, sink arcs in task order; walk
-    // the adjacency to find them.
-    for (node, load) in std::iter::empty()
-        .chain((0..g.n_workers()).map(|w| (1 + w, w_loads[w])))
-        .chain((0..g.n_tasks()).map(|t| (1 + g.n_workers() + t, t_loads[t])))
+    let mut warm = WarmNet::new(g);
+    warm.set_costs(weights);
+    if m.validate(g).is_err() || cert.potentials.len() != warm.net.n_nodes || !warm.seed_flow(g, m)
     {
-        if load == 0 {
-            continue;
-        }
-        // Find the arc from source to this worker / this task to sink.
-        let (from, expect_to) = if node <= g.n_workers() {
-            (source, node)
-        } else {
-            (node, sink)
-        };
-        let mut a = net.first[from];
-        let mut applied = false;
-        while a != NONE {
-            let ai = a as usize;
-            if ai.is_multiple_of(2) && net.head[ai] as usize == expect_to {
-                if net.cap[ai] < load {
-                    return false; // over capacity — infeasible flow
-                }
-                net.cap[ai] -= load;
-                net.cap[ai ^ 1] += load;
-                applied = true;
-                break;
-            }
-            a = net.next[ai];
-        }
-        if !applied {
-            return false;
-        }
+        return false;
     }
-    // (b) Reduced-cost check over every residual arc — rules out improving
-    // cycles (same-cardinality reshuffles that would gain profit).
-    let pi = &cert.potentials;
-    for from in 0..net.n_nodes {
-        let mut a = net.first[from];
-        while a != NONE {
-            let ai = a as usize;
-            if net.cap[ai] > 0 {
-                let to = net.head[ai] as usize;
-                if net.cost[ai] + pi[from] - pi[to] < 0 {
-                    return false;
-                }
-            }
-            a = net.next[ai];
-        }
-    }
-    // (c) No strictly profitable augmenting path: compute the cheapest
-    // residual s→t distance under *reduced* costs (non-negative by (b), so
-    // Dijkstra is sound) and translate back: true cost = d_red + π[t] − π[s].
-    let mut dist = vec![INF; net.n_nodes];
-    let mut parent = vec![NONE; net.n_nodes];
-    let mut heap = IndexedHeap::new(net.n_nodes);
-    net.dijkstra(
-        source,
-        sink,
+    let (source, sink, net) = (warm.source, warm.sink, &warm.net);
+    let Labels {
         pi,
-        &mut dist,
-        &mut parent,
-        &mut heap,
-        &SolveCtl::unlimited(),
-    );
-    if dist[sink] >= INF {
-        return true; // no augmenting path at all
-    }
-    dist[sink] + pi[sink] - pi[source] >= 0
-}
-
-/// Shared network construction for the solver and the verifier.
-fn build_network(g: &BipartiteGraph, weights: &[f64]) -> (CostFlow, Vec<u32>, usize, usize) {
-    let n_w = g.n_workers();
-    let n_t = g.n_tasks();
-    let source = 0usize;
-    let sink = 1 + n_w + n_t;
-    let mut net = CostFlow::new(sink + 1);
-    net.reserve(n_w + n_t + g.n_edges());
-    for w in g.workers() {
-        net.add_arc(source, 1 + w.index(), g.capacity(w), 0);
-    }
-    let mut edge_arcs = vec![NONE; g.n_edges()];
-    for e in g.edges() {
-        let profit = benefit_to_profit(weights[e.index()]);
-        edge_arcs[e.index()] = net.add_arc(
-            1 + g.worker_of(e).index(),
-            1 + n_w + g.task_of(e).index(),
-            1,
-            -profit,
-        );
-    }
-    for t in g.tasks() {
-        net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0);
-    }
-    (net, edge_arcs, source, sink)
-}
-
-impl CostFlow {
-    /// Like [`run`](Self::run) with Dijkstra, additionally returning the
-    /// final potentials (the optimality certificate).
-    fn run_dijkstra_with_potentials(
-        &mut self,
-        source: usize,
-        sink: usize,
-        mode: FlowMode,
-        ctl: &SolveCtl,
-    ) -> (FlowResult, Vec<i64>, bool) {
-        // Duplicate of run_dijkstra that hands the potentials back; kept as
-        // a thin wrapper so the hot path stays allocation-identical.
-        let n = self.n_nodes;
-        let mut dist = vec![INF; n];
-        let mut parent_arc = vec![NONE; n];
-        let mut heap = IndexedHeap::new(n);
-        let mut completed = self.spfa(source, &mut dist, &mut parent_arc, ctl);
-        let mut pi: Vec<i64> = dist.iter().map(|&d| if d >= INF { 0 } else { d }).collect();
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i64;
-        let mut iterations = 0u64;
-        let mut potential_updates = 0u64;
-        while completed {
-            // An interrupted Dijkstra pass leaves partial labels that would
-            // corrupt the potential update; discard it and keep the feasible
-            // flow pushed so far (a prefix of the augmenting-path sequence).
-            if ctl.stop_requested()
-                || !self.dijkstra(
-                    source,
-                    sink,
-                    &pi,
-                    &mut dist,
-                    &mut parent_arc,
-                    &mut heap,
-                    ctl,
-                )
-            {
-                completed = false;
-                break;
-            }
-            if dist[sink] >= INF {
-                break;
-            }
-            let true_cost = dist[sink] + pi[sink] - pi[source];
-            if mode == FlowMode::FreeCardinality && true_cost >= 0 {
-                break;
-            }
-            iterations += 1;
-            let (pushed, path_cost) = self.augment(source, sink, &parent_arc);
-            debug_assert_eq!(path_cost, true_cost);
-            total_flow += u64::from(pushed);
-            total_cost += i64::from(pushed) * path_cost;
-            let dt = dist[sink];
-            for v in 0..n {
-                let adj = dist[v].min(dt);
-                pi[v] += adj;
-                potential_updates += u64::from(adj != 0);
-            }
-        }
-        (
-            FlowResult {
-                flow: total_flow,
-                cost: total_cost,
-                iterations,
-                potential_updates,
-            },
-            pi,
-            completed,
-        )
-    }
+        dist,
+        parent,
+        heap,
+    } = &mut warm.labels;
+    pi.copy_from_slice(&cert.potentials);
+    // (c), (d): reduced costs are non-negative by (b), so Dijkstra is
+    // sound; a path's true cost is its reduced length + π[to] − π[from].
+    net.reduced_costs_ok(pi)
+        && [(source, sink), (sink, source)]
+            .into_iter()
+            .all(|(from, to)| {
+                net.dijkstra(from, to, pi, dist, parent, heap, &SolveCtl::unlimited());
+                dist[to] >= INF || dist[to] + pi[to] - pi[from] >= 0
+            })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mbta_graph::random::{from_edges, random_bipartite, RandomGraphSpec};
-    use mbta_util::fixed::{objectives_close, profit_to_benefit};
+    use mbta_util::fixed::{benefit_to_profit, objectives_close, profit_to_benefit};
 
     fn weights_of(g: &BipartiteGraph, lambda: f64) -> Vec<f64> {
         g.edges()
@@ -936,6 +842,27 @@ mod tests {
             !verify_certificate(&g, &w, &greedy, &cert),
             "certificate must not validate a suboptimal matching"
         );
+    }
+
+    #[test]
+    fn certificate_rejects_profitable_deaugmentation() {
+        // Edges {0, 2} weigh 0.2; the optimum {1} weighs 0.9. These
+        // potentials make every residual reduced cost non-negative and
+        // leave no profitable source → sink path, but dropping both edges
+        // and taking edge 1 is a profitable sink → source path.
+        let g = from_edges(
+            &[1, 1],
+            &[1, 1],
+            &[(0, 0, 0.1, 0.1), (0, 1, 0.9, 0.9), (1, 1, 0.1, 0.1)],
+        );
+        let w = weights_of(&g, 0.5);
+        let (p, q) = (benefit_to_profit(0.9), benefit_to_profit(0.1));
+        let cert = Certificate {
+            potentials: vec![0, p, 0, p - q, 0, p - q],
+        };
+        let m = Matching::from_edges(vec![g.edges().next().unwrap(), g.edges().nth(2).unwrap()]);
+        assert!(objectives_close(m.total_weight(&w), 0.2, 2));
+        assert!(!verify_certificate(&g, &w, &m, &cert));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Warm-started min-cost max-flow for repeated solves on a fixed topology.
+//! The bipartite min-cost-flow network, reusable across solves.
 //!
-//! The batch path rebuilds the flow network from scratch on every solve.
-//! When the same shard is re-solved many times with drifting weights —
-//! the online fallback path — almost all of that work is redundant: the
-//! node set and arc arena never change, only costs move and the previous
-//! solution is usually *nearly* optimal. [`WarmNet`] keeps the network,
-//! the Johnson potentials, and the arc layout alive across solves:
+//! [`WarmNet`] is the one place the 4-layer network (source → workers →
+//! tasks → sink) is built. A cold exact solve
+//! ([`crate::mcmf::max_weight_bmatching`] and friends) is a `WarmNet` with
+//! no prior and an empty seed; the certificate verifier applies the
+//! matching to one as its seed flow. When the same shard is re-solved many
+//! times with drifting weights — the service's online fallback — the net
+//! is kept alive and carries its state across solves:
 //!
-//! 1. **Topology once.** The 4-layer network (source → workers → tasks →
-//!    sink) is built a single time; each solve only rewrites arc costs in
-//!    place and resets capacities.
+//! 1. **Topology once.** The network is built a single time; each solve
+//!    only rewrites arc costs in place and resets capacities.
 //! 2. **Seeded flow.** The previous matching is applied as a feasible
 //!    flow before augmentation starts, so the successive-shortest-path
 //!    loop only has to route the *difference* to optimality.
@@ -18,29 +18,29 @@
 //!    residual arc still has non-negative reduced cost under the carried
 //!    potentials; when drift broke the invariant (common — optimality
 //!    leaves many inequalities tight) the potentials are *refit* with one
-//!    SPFA pass over the seeded residual graph, which is sound whenever
-//!    no negative residual cycle exists. A pop-count guard detects the
-//!    negative-cycle case and falls back to a cold start (zero flow + one
-//!    SPFA pass on the empty network) — correctness never depends on the
-//!    warm state being usable.
+//!    guarded Bellman–Ford pass over the seeded residual graph, cancelling
+//!    the negative residual cycles it finds. A seed that needs too many
+//!    cancellations falls back to a cold start (zero flow + one Bellman–Ford
+//!    pass on the empty network) — correctness never depends on the warm
+//!    state being usable.
 //! 4. **De-augmentation audit.** A warm-seeded flow can carry *more*
 //!    flow than the free-cardinality optimum (the drifted weights may
 //!    make part of the seeded assignment unprofitable), and the forward
-//!    augmentation loop can only add flow. One guarded SPFA pass from the
-//!    sink checks for a negative-true-cost sink → source residual path;
-//!    if one exists the solve restarts cold, which is immune by convexity
-//!    of the flow-cost curve. In practice drift is small and the audit
-//!    passes.
+//!    augmentation loop can only add flow. One guarded Bellman–Ford pass
+//!    from the sink checks for a negative-true-cost sink → source residual
+//!    path; if one exists the solve restarts cold, which is immune by
+//!    convexity of the flow-cost curve. In practice drift is small and the
+//!    audit passes.
 //!
-//! The result is bit-identical in objective to a cold
-//! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
-//! a latency optimization, checked by the `warm_matches_cold_*` tests.
+//! The result is bit-identical in objective to a cold solve — the warm
+//! path is purely a latency optimization, checked against the
+//! potential-free SPFA solver over random drift sequences.
 
-use crate::mcmf::{CostFlow, INF, NONE};
+use crate::mcmf::{CostFlow, FlowMode, FlowResult, Labels, PathAlgo, Relaxed, NONE};
 use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
 use mbta_util::fixed::benefit_to_profit;
-use mbta_util::{IndexedHeap, SolveCtl};
+use mbta_util::SolveCtl;
 
 /// Counters describing one [`WarmNet::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,10 +68,12 @@ pub struct WarmStats {
 /// the [module docs](self) for the warm-start contract.
 #[derive(Debug, Clone)]
 pub struct WarmNet {
-    net: CostFlow,
-    source: usize,
-    sink: usize,
-    n_edges: usize,
+    pub(crate) net: CostFlow,
+    /// Potentials carried from the previous completed solve, and search
+    /// labels.
+    pub(crate) labels: Labels,
+    pub(crate) source: usize,
+    pub(crate) sink: usize,
     /// Arc id of `source → worker w`.
     source_arcs: Vec<u32>,
     /// Arc id of `worker(e) → task(e)` for edge `e`.
@@ -80,13 +82,7 @@ pub struct WarmNet {
     sink_arcs: Vec<u32>,
     /// Forward-arc capacities of the empty (zero-flow) network.
     base_cap: Vec<u32>,
-    /// Carried potentials from the previous completed solve.
-    pi: Vec<i64>,
     has_prior: bool,
-    // Scratch buffers reused across solves (no per-solve allocation).
-    dist: Vec<i64>,
-    parent: Vec<u32>,
-    heap: IndexedHeap<i64>,
 }
 
 impl WarmNet {
@@ -96,8 +92,7 @@ impl WarmNet {
         let n_t = g.n_tasks();
         let source = 0usize;
         let sink = 1 + n_w + n_t;
-        let n = sink + 1;
-        let mut net = CostFlow::new(n);
+        let mut net = CostFlow::new(sink + 1);
         net.reserve(n_w + n_t + g.n_edges());
         let mut source_arcs = Vec::with_capacity(n_w);
         for w in g.workers() {
@@ -118,25 +113,16 @@ impl WarmNet {
         }
         let base_cap = net.cap.clone();
         WarmNet {
+            labels: Labels::new(net.n_nodes),
             net,
             source,
             sink,
-            n_edges: g.n_edges(),
             source_arcs,
             edge_arcs,
             sink_arcs,
             base_cap,
-            pi: vec![0; n],
             has_prior: false,
-            dist: vec![INF; n],
-            parent: vec![NONE; n],
-            heap: IndexedHeap::new(n),
         }
-    }
-
-    /// Discards the carried potentials; the next solve starts cold.
-    pub fn invalidate(&mut self) {
-        self.has_prior = false;
     }
 
     /// Whether the next solve will attempt a warm start.
@@ -159,81 +145,95 @@ impl WarmNet {
         seed: &Matching,
         ctl: &SolveCtl,
     ) -> (Matching, WarmStats) {
-        assert_eq!(weights.len(), self.n_edges, "weight slice length mismatch");
-        assert_eq!(g.n_edges(), self.n_edges, "graph topology changed");
-        // Rewrite costs in place: arc cost is -profit, twin is +profit.
-        for (e, &w) in weights.iter().enumerate() {
-            let profit = benefit_to_profit(w);
-            let a = self.edge_arcs[e] as usize;
-            self.net.cost[a] = -profit;
-            self.net.cost[a ^ 1] = profit;
-        }
-        let mut stats = WarmStats {
-            warm: false,
-            audited_cold: false,
-            iterations: 0,
-            profit: 0,
-            completed: true,
-        };
+        assert_eq!(g.n_edges(), self.edge_arcs.len(), "graph topology changed");
+        self.set_costs(weights);
         // Try the warm path: seed the previous matching as flow and keep
         // the carried potentials if the reduced-cost invariant survived
-        // the weight drift; refit them with one residual SPFA otherwise.
+        // the weight drift; refit them otherwise.
         let mut warm = self.has_prior && self.seed_flow(g, seed);
-        if warm && !self.residual_reduced_costs_ok() {
+        if warm && !self.net.reduced_costs_ok(&self.labels.pi) {
             warm = self.refit_potentials();
         }
-        if !warm {
-            self.reset_flow();
-            if !self.cold_potentials(ctl) {
-                // Interrupted before any flow was pushed.
-                self.has_prior = false;
-                stats.completed = false;
-                return (Matching::from_edges(Vec::new()), stats);
-            }
-        }
-        stats.warm = warm;
-        let completed = self.augment_to_optimal(ctl, &mut stats.iterations);
-        // A warm seed can over-commit flow the drifted weights no longer
-        // justify, and forward augmentation cannot retract it. One
-        // guarded SPFA from the sink detects the profitable
-        // de-augmentation; a cold redo (immune by convexity) repairs it.
-        if completed && warm && !self.deaugmentation_audit() {
-            stats.audited_cold = true;
-            stats.warm = false;
-            self.reset_flow();
-            if self.cold_potentials(ctl) {
-                stats.completed = self.augment_to_optimal(ctl, &mut stats.iterations);
-            } else {
-                stats.completed = false;
-            }
+        let (free, dijkstra) = (FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+        let (mut result, mut completed) = if warm {
+            let (source, sink) = (self.source, self.sink);
+            self.net
+                .ssp(&mut self.labels, source, sink, free, dijkstra, ctl)
         } else {
-            stats.completed = completed;
+            self.cold(free, dijkstra, ctl)
+        };
+        // A warm seed can over-commit flow the drifted weights no longer
+        // justify, and forward augmentation cannot retract it. The audit
+        // detects the profitable de-augmentation; a cold redo (immune by
+        // convexity) repairs it.
+        let audited_cold = completed && warm && !self.deaugmentation_audit();
+        if audited_cold {
+            warm = false;
+            let (redo, redo_completed) = self.cold(free, dijkstra, ctl);
+            result.iterations += redo.iterations;
+            completed = redo_completed;
         }
-        self.has_prior = stats.completed;
-        let edges = g
-            .edges()
-            .filter(|e| self.net.flow(self.edge_arcs[e.index()]) > 0)
-            .collect::<Vec<_>>();
-        stats.profit = edges
-            .iter()
-            .map(|e| benefit_to_profit(weights[e.index()]))
-            .sum();
-        (Matching::from_edges(edges), stats)
+        self.has_prior = completed;
+        let (m, profit) = self.matching(g);
+        let stats = WarmStats {
+            warm,
+            audited_cold,
+            iterations: result.iterations,
+            profit,
+            completed,
+        };
+        (m, stats)
     }
 
-    /// Zeroes all flow: restores the capacity vector of the empty network.
-    fn reset_flow(&mut self) {
+    /// Rewrites the edge arcs' costs in place: `-profit`, twin `+profit`.
+    pub(crate) fn set_costs(&mut self, weights: &[f64]) {
+        assert_eq!(
+            weights.len(),
+            self.edge_arcs.len(),
+            "weight slice length mismatch"
+        );
+        for (&a, &w) in self.edge_arcs.iter().zip(weights) {
+            let profit = benefit_to_profit(w);
+            self.net.cost[a as usize] = -profit;
+            self.net.cost[(a ^ 1) as usize] = profit;
+        }
+    }
+
+    /// A cold solve on the current costs: zero flow, fresh potentials.
+    pub(crate) fn cold(
+        &mut self,
+        mode: FlowMode,
+        algo: PathAlgo,
+        ctl: &SolveCtl,
+    ) -> (FlowResult, bool) {
         self.net.cap.copy_from_slice(&self.base_cap);
+        let lb = &mut self.labels;
+        self.net
+            .run_from(lb, self.source, self.sink, mode, algo, ctl)
+    }
+
+    /// Reads the matching — the edges carrying flow — and its fixed-point
+    /// profit back out of the network.
+    pub(crate) fn matching(&self, g: &BipartiteGraph) -> (Matching, i64) {
+        let edges: Vec<_> = g
+            .edges()
+            .filter(|e| self.net.flow(self.edge_arcs[e.index()]) > 0)
+            .collect();
+        let profit = edges
+            .iter()
+            .map(|e| -self.net.cost[self.edge_arcs[e.index()] as usize])
+            .sum();
+        (Matching::from_edges(edges), profit)
     }
 
     /// Applies `seed` as a feasible flow on the empty network. Returns
-    /// `false` (leaving the flow partially applied — caller must reset)
-    /// if the seed violates a capacity, which only happens on a caller
-    /// bug; the warm path then degrades to cold rather than panicking.
-    fn seed_flow(&mut self, g: &BipartiteGraph, seed: &Matching) -> bool {
-        self.reset_flow();
+    /// `false` (leaving the flow partially applied) if the seed violates a
+    /// capacity, which only happens on a caller bug; the warm path then
+    /// degrades to cold rather than panicking.
+    pub(crate) fn seed_flow(&mut self, g: &BipartiteGraph, seed: &Matching) -> bool {
+        self.net.cap.copy_from_slice(&self.base_cap);
         for &e in &seed.edges {
-            if e.index() >= self.n_edges {
+            if e.index() >= self.edge_arcs.len() {
                 return false;
             }
             let ea = self.edge_arcs[e.index()] as usize;
@@ -250,165 +250,35 @@ impl WarmNet {
         true
     }
 
-    /// O(E) warm-validity check: every residual arc must have
-    /// non-negative reduced cost under the carried potentials — the
-    /// invariant the successive-shortest-path loop both requires and
-    /// maintains. Holding, it proves the seeded flow is min-cost for its
-    /// value, so continuing from it is sound.
-    fn residual_reduced_costs_ok(&self) -> bool {
-        let net = &self.net;
-        for from in 0..net.n_nodes {
-            let mut a = net.first[from];
-            while a != NONE {
-                let ai = a as usize;
-                if net.cap[ai] > 0 {
-                    let to = net.head[ai] as usize;
-                    if net.cost[ai] + self.pi[from] - self.pi[to] < 0 {
-                        return false;
-                    }
-                }
-                a = net.next[ai];
-            }
-        }
-        true
-    }
-
-    /// Cold potential initialization: one SPFA pass from the source on
-    /// raw costs (the network has negative arcs but no negative cycles).
-    fn cold_potentials(&mut self, ctl: &SolveCtl) -> bool {
-        if !self
-            .net
-            .spfa(self.source, &mut self.dist, &mut self.parent, ctl)
-        {
-            return false;
-        }
-        for (p, &d) in self.pi.iter_mut().zip(self.dist.iter()) {
-            *p = if d >= INF { 0 } else { d };
-        }
-        true
-    }
-
-    /// The successive-shortest-path loop on reduced costs, stopping at
-    /// the free-cardinality optimum. Returns `false` on interruption.
-    fn augment_to_optimal(&mut self, ctl: &SolveCtl, iterations: &mut u64) -> bool {
-        loop {
-            if ctl.stop_requested()
-                || !self.net.dijkstra(
-                    self.source,
-                    self.sink,
-                    &self.pi,
-                    &mut self.dist,
-                    &mut self.parent,
-                    &mut self.heap,
-                    ctl,
-                )
-            {
-                return false;
-            }
-            if self.dist[self.sink] >= INF {
-                return true;
-            }
-            let true_cost = self.dist[self.sink] + self.pi[self.sink] - self.pi[self.source];
-            if true_cost >= 0 {
-                return true;
-            }
-            *iterations += 1;
-            self.net.augment(self.source, self.sink, &self.parent);
-            let dt = self.dist[self.sink];
-            for (p, &d) in self.pi.iter_mut().zip(self.dist.iter()) {
-                *p += d.min(dt);
-            }
-        }
-    }
-
-    /// Bellman–Ford (queue variant) over the *current residual graph* on
-    /// raw costs. `from = None` initializes every node at distance 0 (a
-    /// virtual super-source), which both finds negative cycles anywhere
-    /// in the graph and — absent cycles — yields *globally* valid
-    /// potentials: `dist[v] ≤ dist[u] + cost` for every residual arc.
-    ///
-    /// Returns `Some(node)` when a negative cycle was detected (the node
-    /// lies on the cycle, reachable through `self.parent`); `None` when
-    /// the labels converged. Detection is exact, by path length: a
-    /// relaxation chain longer than |V| arcs must repeat a node.
-    fn spfa_guarded(&mut self, from: Option<usize>) -> Option<usize> {
-        let n = self.net.n_nodes;
-        self.parent.iter_mut().for_each(|p| *p = NONE);
-        let mut len = vec![0u32; n];
-        let mut in_queue = vec![false; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
-        match from {
-            Some(s) => {
-                self.dist.iter_mut().for_each(|d| *d = INF);
-                self.dist[s] = 0;
-                queue.push_back(s as u32);
-                in_queue[s] = true;
-            }
-            None => {
-                self.dist.iter_mut().for_each(|d| *d = 0);
-                for (v, q) in in_queue.iter_mut().enumerate().take(n) {
-                    queue.push_back(v as u32);
-                    *q = true;
-                }
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let v = v as usize;
-            in_queue[v] = false;
-            let dv = self.dist[v];
-            let mut a = self.net.first[v];
-            while a != NONE {
-                let ai = a as usize;
-                if self.net.cap[ai] > 0 {
-                    let to = self.net.head[ai] as usize;
-                    let nd = dv + self.net.cost[ai];
-                    if nd < self.dist[to] {
-                        self.dist[to] = nd;
-                        self.parent[to] = a;
-                        len[to] = len[v] + 1;
-                        if len[to] > n as u32 {
-                            return Some(to);
-                        }
-                        if !in_queue[to] {
-                            in_queue[to] = true;
-                            queue.push_back(to as u32);
-                        }
-                    }
-                }
-                a = self.net.next[ai];
-            }
-        }
-        None
-    }
-
     /// Pushes flow around the negative residual cycle that the parent
     /// chain of `trigger` leads into, removing it from the graph. Each
     /// cancellation strictly improves the flow's cost at constant value.
     fn cancel_cycle(&mut self, trigger: usize) {
         // Walk the parent chain until a node repeats: that node is on
         // the cycle (the chain can have a tail leading into it).
+        let (net, parent) = (&mut self.net, &self.labels.parent);
         let tail_of = |net: &CostFlow, a: u32| net.head[(a ^ 1) as usize] as usize;
-        let mut seen = vec![false; self.net.n_nodes];
+        let mut seen = vec![false; net.n_nodes];
         let mut u = trigger;
         while !seen[u] {
             seen[u] = true;
-            u = tail_of(&self.net, self.parent[u]);
+            u = tail_of(net, parent[u]);
         }
         let start = u;
         let mut arcs = Vec::new();
         let mut bottleneck = u32::MAX;
         loop {
-            let a = self.parent[u];
+            let a = parent[u];
             arcs.push(a);
-            bottleneck = bottleneck.min(self.net.cap[a as usize]);
-            u = tail_of(&self.net, a);
+            bottleneck = bottleneck.min(net.cap[a as usize]);
+            u = tail_of(net, a);
             if u == start {
                 break;
             }
         }
         for a in arcs {
-            self.net.cap[a as usize] -= bottleneck;
-            self.net.cap[(a ^ 1) as usize] += bottleneck;
+            net.cap[a as usize] -= bottleneck;
+            net.cap[(a ^ 1) as usize] += bottleneck;
         }
     }
 
@@ -425,12 +295,18 @@ impl WarmNet {
     /// needs more repair than [`Self::MAX_CYCLE_CANCELS`] allows.
     fn refit_potentials(&mut self) -> bool {
         for _ in 0..=Self::MAX_CYCLE_CANCELS {
-            match self.spfa_guarded(None) {
-                None => {
-                    self.pi.copy_from_slice(&self.dist);
+            let lb = &mut self.labels;
+            let ctl = &SolveCtl::unlimited();
+            match self
+                .net
+                .bellman_ford(None, true, &mut lb.dist, &mut lb.parent, ctl)
+            {
+                Relaxed::Converged => {
+                    lb.pi.copy_from_slice(&lb.dist);
                     return true;
                 }
-                Some(node) => self.cancel_cycle(node),
+                Relaxed::Cycle(node) => self.cancel_cycle(node),
+                Relaxed::Stopped => return false,
             }
         }
         false
@@ -438,15 +314,20 @@ impl WarmNet {
 
     /// Post-solve audit: is there a sink → source residual path with
     /// negative true cost (i.e. would *removing* flow increase profit)?
-    /// Uses the guarded Bellman–Ford on raw residual costs so it is
+    /// Runs the guarded Bellman–Ford on raw residual costs so it is
     /// sound without trusting the potentials; a detected negative cycle
     /// also fails the audit (the flow is not min-cost for its value).
     /// Returns `true` when the flow value is certified optimal.
     fn deaugmentation_audit(&mut self) -> bool {
-        if self.spfa_guarded(Some(self.sink)).is_some() {
-            return false;
+        let lb = &mut self.labels;
+        let ctl = &SolveCtl::unlimited();
+        match self
+            .net
+            .bellman_ford(Some(self.sink), true, &mut lb.dist, &mut lb.parent, ctl)
+        {
+            Relaxed::Converged => lb.dist[self.source] >= 0,
+            Relaxed::Cycle(_) | Relaxed::Stopped => false,
         }
-        self.dist[self.source] >= 0
     }
 }
 

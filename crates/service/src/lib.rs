@@ -33,8 +33,8 @@
 //!   record). See DESIGN.md §13.
 //! * [`online`] — the per-event decision path (`--online`): greedy
 //!   repair plus a depth-1 exchange on every event, per-shard drift
-//!   accounting, and a warm-started exact fallback
-//!   (`mbta_core::warm::WarmSolver`) when drift crosses the configured
+//!   accounting, and a warm-started exact fallback on a per-shard
+//!   `mbta_matching::warm::WarmNet` when drift crosses the configured
 //!   threshold. Sub-millisecond median decision latency, journaled as
 //!   one WAL record per deciding event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is

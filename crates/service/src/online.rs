@@ -17,9 +17,9 @@
 //!   accrue nothing.
 //! * **Warm fallback** — when a shard's accumulated drift exceeds
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
-//!   shard re-solves exactly through its [`WarmSolver`], which carries
-//!   node potentials and the previous matching across solves (see
-//!   `mbta_matching::warm`), then the accumulator resets.
+//!   shard re-solves exactly on its own `mbta_matching::warm::WarmNet`,
+//!   seeded with the shard's current matching and carrying node
+//!   potentials across solves, then the accumulator resets.
 //!
 //! Decisions come out of the assignment's flip log (`net_flips` folds
 //! eviction/re-add churn by parity), are journaled as one
@@ -30,8 +30,8 @@
 use crate::shard::ShardPlan;
 use crate::sink::{canonical_order, Action, Decision};
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::WarmSolver;
 use mbta_graph::EdgeId;
+use mbta_matching::warm::WarmNet;
 
 /// Tunables for the per-event online decision path.
 ///
@@ -72,10 +72,10 @@ impl OnlineConfig {
     }
 }
 
-/// Per-shard online state: the warm exact solver and the drift
-/// accumulator that decides when to use it.
+/// Per-shard online state: the shard's exact flow network, kept across
+/// fallbacks, and the drift accumulator that decides when to use it.
 pub(crate) struct ShardOnline {
-    pub warm: WarmSolver,
+    pub warm: WarmNet,
     pub acc: f64,
 }
 
@@ -152,7 +152,7 @@ impl OnlineScratch {
 }
 
 impl OnlineRuntime {
-    /// Fresh runtime for a plan: one warm solver per shard topology.
+    /// Fresh runtime for a plan: one flow network per shard topology.
     pub fn new(cfg: OnlineConfig, plan: &ShardPlan) -> Self {
         cfg.validate();
         OnlineRuntime {
@@ -161,7 +161,7 @@ impl OnlineRuntime {
                 .shards
                 .iter()
                 .map(|slice| ShardOnline {
-                    warm: WarmSolver::new(&slice.sub.graph),
+                    warm: WarmNet::new(&slice.sub.graph),
                     acc: 0.0,
                 })
                 .collect(),

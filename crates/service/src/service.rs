@@ -190,7 +190,7 @@ pub struct DispatchService<'p> {
     overlay: Vec<EdgeId>,
     /// Live intra/cross weight split for drift-driven re-planning.
     cut: CutTracker,
-    /// Per-shard warm solvers, drift accumulators and pooled buffers of
+    /// Per-shard flow networks, drift accumulators and pooled buffers of
     /// the per-event online path (`None` = batch dispatch).
     online: Option<OnlineRuntime>,
     /// Everything that outlives the shard plan.
@@ -261,8 +261,7 @@ struct Counters {
     defer_retry_ok: u64,
     online_fallbacks: u64,
     online_exchanges: u64,
-    /// Warm-solver solves and warm hits of the solvers retired so far
-    /// (each re-plan rebuilds them for the new topology).
+    /// Online exact solves, and those that kept their warm state.
     warm_solves: u64,
     warm_hits: u64,
     /// Wall time of every batch solve and every warm online solve; the
@@ -326,7 +325,7 @@ impl<'p> DispatchService<'p> {
     /// Completes a service over `plan` from its seeded shard states. Online
     /// mode arms the flip logs only here, so whatever the caller already
     /// did to `states` (a migration's reseeds) never shows up as per-event
-    /// decisions; the warm solvers start cold on the plan's topology.
+    /// decisions; the flow networks start cold on the plan's topology.
     fn assemble(
         universe: &'p BipartiteGraph,
         plan: &'p ShardPlan,
@@ -491,9 +490,12 @@ impl<'p> DispatchService<'p> {
         let t0 = Instant::now();
         let st = &mut self.states[s];
         let aw = st.active_weights();
-        let warm = &mut rt.shards[s].warm;
-        warm.seed(st.matching());
-        let m = warm.solve(&self.plan.shards[s].sub.graph, &aw, ctl);
+        let (mut m, warm) = rt.shards[s]
+            .warm
+            .solve(st.graph(), &aw, &st.matching(), ctl);
+        // Weight ≤ 0 is how an inactive endpoint reads, and `reseed`
+        // rejects edges on one.
+        m.edges.retain(|e| aw[e.index()] > 0.0);
         if m.total_weight(&aw) > st.total_weight() + 1e-12 {
             st.reseed(&m)
                 .expect("warm solution is feasible on the active sub-market");
@@ -501,8 +503,14 @@ impl<'p> DispatchService<'p> {
             mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
         }
         st.drain_log_into(&mut rt.scratch.flips);
-        let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.run.count.solve_lat.observe(solve_ms);
+        let c = &mut self.run.count;
+        c.solve_lat.observe(t0.elapsed().as_secs_f64() * 1e3);
+        c.warm_solves += 1;
+        c.warm_hits += u64::from(warm.warm);
+        mbta_telemetry::counter_add("mbta_core_warm_solves_total", 1);
+        mbta_telemetry::counter_add("mbta_core_warm_hits_total", u64::from(warm.warm));
+        let audited_cold = u64::from(warm.audited_cold);
+        mbta_telemetry::counter_add("mbta_core_warm_audited_cold_total", audited_cold);
         true
     }
 
@@ -1182,16 +1190,6 @@ impl<'p> DispatchService<'p> {
         decisions
     }
 
-    /// Folds the warm solvers' counters into the run totals: before a
-    /// re-plan drops the solvers, and once at finish.
-    fn retire_warm(&mut self) {
-        for sh in self.online.iter().flat_map(|rt| &rt.shards) {
-            let w = sh.warm.stats();
-            self.run.count.warm_solves += w.solves;
-            self.run.count.warm_hits += w.warm_hits;
-        }
-    }
-
     /// Flushes all remaining work, reconciles cross-shard state, and
     /// returns the run report.
     pub fn finish(mut self, sink: &mut impl DecisionSink) -> ServiceReport {
@@ -1200,7 +1198,6 @@ impl<'p> DispatchService<'p> {
             self.dispatch(closed, sink);
         }
         self.drain_online(sink);
-        self.retire_warm();
 
         // Clean shutdown of the durability store: fsync the WAL and write
         // a final snapshot so recovery replays nothing.
@@ -1378,8 +1375,7 @@ impl<'p> DispatchService<'p> {
     /// let plan2 = ShardPlan::build(&g, carried.live_weights(), k, routing);
     /// let mut svc = DispatchService::resume(&g, &plan2, carried, &mut sink);
     /// ```
-    pub fn detach(mut self) -> CarriedState {
-        self.retire_warm();
+    pub fn detach(self) -> CarriedState {
         let rescue_shard = self.plan.n_shards() as u32;
         let overlay = self.overlay.iter().map(|&e| (e, rescue_shard));
         let mut assigned: Vec<(EdgeId, u32)> = self
@@ -2221,6 +2217,47 @@ mod tests {
         (sink.into_inner(), report)
     }
 
+    /// The drift fallback solves on active weights, where an inactive
+    /// endpoint's edges read as weight 0; with those filtered out its
+    /// solution stays adoptable after a worker leaves.
+    #[test]
+    fn zero_weight_edges_are_filtered_for_reseed() {
+        // Greedy takes 0.9 + 0.5; once worker 1 leaves, the active optimum
+        // is 0.8 + 0.7 and the fallback must adopt it.
+        let g = mbta_graph::random::from_edges(
+            &[1, 1, 1],
+            &[1, 1],
+            &[
+                (0, 0, 0.9, 0.9),
+                (0, 1, 0.8, 0.8),
+                (1, 1, 0.5, 0.5),
+                (2, 0, 0.7, 0.7),
+            ],
+        );
+        let w: Vec<f64> = g.edges().map(|e| g.rb(e)).collect();
+        let plan = ShardPlan::build(&g, &w, 1, Routing::HashId);
+        let events: Vec<Arrival> = [
+            ServiceEvent::WorkerJoin(0),
+            ServiceEvent::WorkerJoin(1),
+            ServiceEvent::TaskPost(0),
+            ServiceEvent::TaskPost(1),
+            ServiceEvent::WorkerJoin(2),
+            ServiceEvent::WorkerLeave(1),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, event)| Arrival {
+            time: i as f64,
+            event,
+        })
+        .collect();
+        let (_, report) = run_online(&g, &plan, &events, 0.1, None);
+        assert!(report.reseeds >= 1, "{report:?}");
+        assert_eq!(report.final_assignments, 2);
+        assert!((report.final_value - 1.5).abs() < 1e-9, "{report:?}");
+        assert_eq!(report.capacity_violations, 0);
+    }
+
     #[test]
     fn online_replay_is_byte_identical() {
         let (g, w) = universe();
@@ -2319,7 +2356,7 @@ mod tests {
         );
     }
 
-    /// Online mode survives drift-driven re-plan migrations: warm solvers
+    /// Online mode survives drift-driven re-plan migrations: flow networks
     /// are rebuilt for the new topology and the online counters carry over
     /// with the rest of the run state.
     #[test]
