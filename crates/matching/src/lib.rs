@@ -33,9 +33,10 @@
 //! * [`online`] — irrevocable arrival-order assignment policies (greedy,
 //!   ranking, two-phase sample-then-threshold).
 //! * [`warm`] — the one bipartite MCMF network ([`warm::WarmNet`]): a
-//!   cold [`mcmf`] solve is a `WarmNet` with no prior, and the service's
-//!   online fallback keeps one per shard to carry potentials and seeded
-//!   flow across repeated solves on a fixed topology.
+//!   cold [`mcmf`] solve runs on a fresh `WarmNet`, and the service keeps
+//!   one per shard whose `solve` repairs its carried optimal flow for
+//!   each batch's weight changes (a circulation, local repairs and
+//!   nearest-deficit searches; resumable when a deadline cuts it off).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

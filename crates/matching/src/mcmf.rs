@@ -8,10 +8,11 @@
 //! comparison exact; no float drift across thousands of augmentations.
 //!
 //! [`crate::warm::WarmNet`] is the one place that network is built: a cold
-//! solve here is a `WarmNet` with no prior and an empty seed, and the
-//! certificate verifier applies the matching to one as its seed flow.
-//! [`CostFlow`] runs every search on it: one successive-shortest-path loop
-//! and one queue Bellman–Ford.
+//! solve here runs on a fresh `WarmNet`, and the certificate verifier
+//! applies the matching to one as its flow. [`CostFlow`] runs the cold
+//! searches on it: one successive-shortest-path loop and one queue
+//! Bellman–Ford. The incremental re-solve (`WarmNet::solve`) keeps one net
+//! per shard and runs its own nearest-deficit searches on the same arcs.
 //!
 //! Two path-finding strategies are provided (the F12 ablation):
 //!
@@ -78,7 +79,7 @@ pub(crate) struct Labels {
     pub(crate) pi: Vec<i64>,
     pub(crate) dist: Vec<i64>,
     pub(crate) parent: Vec<u32>,
-    heap: IndexedHeap<i64>,
+    pub(crate) heap: IndexedHeap<i64>,
 }
 
 impl Labels {
@@ -104,18 +105,6 @@ pub struct FlowResult {
     /// Number of nonzero Johnson-potential adjustments performed across
     /// all iterations (0 for SPFA, which runs without potentials).
     pub potential_updates: u64,
-}
-
-/// How a [`CostFlow::bellman_ford`] pass ended.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Relaxed {
-    /// The labels converged to shortest distances.
-    Converged,
-    /// `ctl` stopped the pass; the labels must not be used.
-    Stopped,
-    /// The cycle guard tripped: the parent chain of this node leads into
-    /// a negative residual cycle.
-    Cycle(usize),
 }
 
 impl CostFlow {
@@ -207,8 +196,7 @@ impl CostFlow {
         if algo == PathAlgo::Dijkstra {
             // One pass on raw costs (negative arcs, no negative cycles)
             // makes every reduced cost non-negative.
-            let pass = self.bellman_ford(Some(source), false, &mut lb.dist, &mut lb.parent, ctl);
-            if pass != Relaxed::Converged {
+            if !self.bellman_ford(source, &mut lb.dist, &mut lb.parent, ctl) {
                 return (FlowResult::default(), false);
             }
             for (p, &d) in lb.pi.iter_mut().zip(&lb.dist) {
@@ -246,10 +234,7 @@ impl CostFlow {
             let found = !ctl.stop_requested()
                 && match algo {
                     PathAlgo::Dijkstra => self.dijkstra(source, sink, pi, dist, parent, heap, ctl),
-                    PathAlgo::Spfa => {
-                        self.bellman_ford(Some(source), false, dist, parent, ctl)
-                            == Relaxed::Converged
-                    }
+                    PathAlgo::Spfa => self.bellman_ford(source, dist, parent, ctl),
                 };
             if !found {
                 return (r, false);
@@ -277,41 +262,27 @@ impl CostFlow {
         }
     }
 
-    /// Queue Bellman–Ford (SPFA) over the residual graph on raw costs,
-    /// filling `dist` and `parent`. `from = None` starts every node at
-    /// distance 0 (a virtual super-source), which — absent negative
-    /// cycles — yields globally valid potentials. With `guard`, a
-    /// relaxation chain longer than |V| arcs, which must repeat a node and
-    /// so exists only around a negative cycle, ends the pass.
+    /// Queue Bellman–Ford (SPFA) from `from` over the residual graph on raw
+    /// costs, filling `dist` and `parent`. Returns `false` when `ctl`
+    /// stopped the pass; the labels must not be used then.
     pub(crate) fn bellman_ford(
         &self,
-        from: Option<usize>,
-        guard: bool,
+        from: usize,
         dist: &mut [i64],
         parent: &mut [u32],
         ctl: &SolveCtl,
-    ) -> Relaxed {
+    ) -> bool {
         let n = self.n_nodes;
         parent.fill(NONE);
-        let mut len = vec![0u32; if guard { n } else { 0 }];
+        dist.fill(INF);
+        dist[from] = 0;
         let mut in_queue = vec![false; n];
         let mut queue = std::collections::VecDeque::with_capacity(n);
-        match from {
-            Some(s) => {
-                dist.fill(INF);
-                dist[s] = 0;
-                queue.push_back(s as u32);
-                in_queue[s] = true;
-            }
-            None => {
-                dist.fill(0);
-                queue.extend(0..n as u32);
-                in_queue.fill(true);
-            }
-        }
+        queue.push_back(from as u32);
+        in_queue[from] = true;
         while let Some(v) = queue.pop_front() {
             if ctl.should_stop() {
-                return Relaxed::Stopped;
+                return false;
             }
             let v = v as usize;
             in_queue[v] = false;
@@ -325,12 +296,6 @@ impl CostFlow {
                     if nd < dist[to] {
                         dist[to] = nd;
                         parent[to] = a;
-                        if guard {
-                            len[to] = len[v] + 1;
-                            if len[to] > n as u32 {
-                                return Relaxed::Cycle(to);
-                            }
-                        }
                         if !in_queue[to] {
                             in_queue[to] = true;
                             queue.push_back(to as u32);
@@ -340,7 +305,7 @@ impl CostFlow {
                 a = self.next[ai];
             }
         }
-        Relaxed::Converged
+        true
     }
 
     /// Dijkstra from `source` on reduced costs `cost + π[u] − π[v]`,
@@ -445,8 +410,8 @@ pub struct SolveStats {
     pub profit: i64,
 }
 
-/// A cold exact solve — a fresh [`WarmNet`] with no prior and an empty
-/// seed — publishing its intrinsic counters to the telemetry registry.
+/// A cold exact solve — successive shortest paths on a fresh [`WarmNet`] —
+/// publishing its intrinsic counters to the telemetry registry.
 /// Returns the net (it holds the final potentials) with the outcome.
 fn solve_cold(
     g: &BipartiteGraph,
@@ -576,7 +541,7 @@ pub fn verify_certificate(
 ) -> bool {
     let mut warm = WarmNet::new(g);
     warm.set_costs(weights);
-    if m.validate(g).is_err() || cert.potentials.len() != warm.net.n_nodes || !warm.seed_flow(g, m)
+    if m.validate(g).is_err() || cert.potentials.len() != warm.net.n_nodes || !warm.apply_flow(g, m)
     {
         return false;
     }

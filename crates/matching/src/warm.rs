@@ -1,42 +1,56 @@
-//! The bipartite min-cost-flow network, reusable across solves.
+//! The bipartite min-cost-flow network, and the incremental exact solver
+//! built on it.
 //!
 //! [`WarmNet`] is the one place the 4-layer network (source → workers →
 //! tasks → sink) is built. A cold exact solve
-//! ([`crate::mcmf::max_weight_bmatching`] and friends) is a `WarmNet` with
-//! no prior and an empty seed; the certificate verifier applies the
-//! matching to one as its seed flow. When the same shard is re-solved many
-//! times with drifting weights — the service's online fallback — the net
-//! is kept alive and carries its state across solves:
+//! ([`crate::mcmf::max_weight_bmatching`] and friends) runs the
+//! successive-shortest-path loop on a fresh net, and the certificate
+//! verifier applies a matching to one as its flow.
 //!
-//! 1. **Topology once.** The network is built a single time; each solve
-//!    only rewrites arc costs in place and resets capacities.
-//! 2. **Seeded flow.** The previous matching is applied as a feasible
-//!    flow before augmentation starts, so the successive-shortest-path
-//!    loop only has to route the *difference* to optimality.
-//! 3. **Carried potentials.** The dual prices from the previous solve
-//!    seed the reduced costs. An O(E) verification pass checks that every
-//!    residual arc still has non-negative reduced cost under the carried
-//!    potentials; when drift broke the invariant (common — optimality
-//!    leaves many inequalities tight) the potentials are *refit* with one
-//!    guarded Bellman–Ford pass over the seeded residual graph, cancelling
-//!    the negative residual cycles it finds. A seed that needs too many
-//!    cancellations falls back to a cold start (zero flow + one Bellman–Ford
-//!    pass on the empty network) — correctness never depends on the warm
-//!    state being usable.
-//! 4. **De-augmentation audit.** A warm-seeded flow can carry *more*
-//!    flow than the free-cardinality optimum (the drifted weights may
-//!    make part of the seeded assignment unprofitable), and the forward
-//!    augmentation loop can only add flow. One guarded Bellman–Ford pass
-//!    from the sink checks for a negative-true-cost sink → source residual
-//!    path; if one exists the solve restarts cold, which is immune by
-//!    convexity of the flow-cost curve. In practice drift is small and the
-//!    audit passes.
+//! [`WarmNet::solve`] is the incremental solver. A net kept alive per
+//! shard owns an optimal flow and its node potentials across solves, and
+//! each solve repairs only what changed:
 //!
-//! The result is bit-identical in objective to a cold solve — the warm
-//! path is purely a latency optimization, checked against the
-//! potential-free SPFA solver over random drift sequences.
+//! 1. **Circulation.** One extra `sink → source` arc of cost 0 closes the
+//!    flow into a circulation. The free-cardinality maximum-weight
+//!    b-matching is then the min-cost circulation, and a repair can lower
+//!    the flow value (route flow back over `source → sink`) as easily as
+//!    raise it.
+//! 2. **Changed arcs only.** A solve rewrites the cost of every edge arc
+//!    whose fixed-point profit changed, and nothing else. A changed arc
+//!    whose residual reduced cost turned negative is repaired locally:
+//!    when one endpoint's potential can move by the violation without
+//!    turning another residual arc at that node negative, it moves;
+//!    otherwise the arc is saturated (or emptied), which leaves a unit of
+//!    excess at one endpoint and a unit of deficit at the other.
+//! 3. **Nearest-deficit searches.** Imbalances are cleared one at a time
+//!    by a Dijkstra search on reduced costs that starts at an excess node
+//!    and stops at the first deficit node it settles. Flow moves along
+//!    that path, only settled nodes shift their potentials (so every
+//!    residual reduced cost stays non-negative), and only the nodes the
+//!    search labelled are reset.
+//! 4. **Resumable truncation.** `ctl` is checked with `stop_requested`
+//!    before every search (and, amortized, inside it). A repair cut off
+//!    by its deadline returns no matching but keeps its pseudo-flow,
+//!    potentials and pending imbalances; the next call adds its own
+//!    changes and carries on. Nothing restarts cold.
+//!
+//! The first solve of a net starts from the empty flow: the circulation
+//! arc is saturated to the total worker capacity, and potentials that
+//! make every residual arc non-negative are read off in one pass, so the
+//! source holds all the excess and the sink all the deficit. Clearing
+//! that is successive shortest paths with the free-cardinality stopping
+//! rule: profitable augmenting paths are taken one by one, and once none
+//! is left the remaining excess returns over `source → sink` in one push.
+//!
+//! With every imbalance cleared, non-negative reduced costs on a
+//! circulation prove it optimal (no negative residual cycle), and the
+//! potentials are an optimality certificate that
+//! [`crate::mcmf::verify_certificate`] accepts. The oracle tests check
+//! every solve against the potential-free SPFA solver and the Hungarian
+//! algorithm.
 
-use crate::mcmf::{CostFlow, FlowMode, FlowResult, Labels, PathAlgo, Relaxed, NONE};
+use crate::mcmf::{Certificate, CostFlow, FlowMode, FlowResult, Labels, PathAlgo, INF, NONE};
 use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
 use mbta_util::fixed::benefit_to_profit;
@@ -45,19 +59,17 @@ use mbta_util::SolveCtl;
 /// Counters describing one [`WarmNet::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmStats {
-    /// `true` when the solve reused the carried potentials and seeded
-    /// flow; `false` when it restarted cold (first solve, or drift broke
-    /// the reduced-cost invariant).
+    /// `true` when the solve continued from the net's carried flow;
+    /// `false` on the net's first solve, which starts from the empty flow.
     pub warm: bool,
-    /// `true` when the post-solve de-augmentation audit failed and the
-    /// solve had to redo its work cold. Always `false` on cold solves.
-    pub audited_cold: bool,
-    /// Augmenting-path iterations performed (including any cold redo).
+    /// Edge arcs whose cost this call rewrote.
+    pub changed: u64,
+    /// Nearest-deficit searches that moved flow (augmenting paths).
     pub iterations: u64,
-    /// Total fixed-point profit of the returned matching.
+    /// Total fixed-point profit of the returned matching (0 when cut off).
     pub profit: i64,
-    /// `false` when `ctl` interrupted the solve; the returned matching is
-    /// feasible but optimality is forfeited and no state is carried.
+    /// `false` when `ctl` cut the repair off: no matching is returned, and
+    /// the next call resumes the repair.
     pub completed: bool,
 }
 
@@ -65,24 +77,32 @@ pub struct WarmStats {
 ///
 /// Build once per shard (or per plan epoch), then call
 /// [`WarmNet::solve`] every time the shard needs an exact re-solve. See
-/// the [module docs](self) for the warm-start contract.
+/// the [module docs](self) for the incremental contract. A cold solve, the
+/// verifier and the first [`WarmNet::solve`] each start from a fresh net's
+/// zero flow, so the net keeps no copy of its empty capacities.
+///
+/// Arc ids follow the build order: `source → worker w` is arc `2w`, edge
+/// `e`'s `worker → task` arc is `2(n_w + e)`, `task t → sink` is
+/// `2(n_w + n_e + t)`, and the `sink → source` arc that closes the
+/// circulation comes last. Its capacity stays 0 until the first
+/// [`WarmNet::solve`], so cold solves and the verifier never see it.
 #[derive(Debug, Clone)]
 pub struct WarmNet {
     pub(crate) net: CostFlow,
-    /// Potentials carried from the previous completed solve, and search
-    /// labels.
+    /// Node potentials (carried across solves) and search labels.
     pub(crate) labels: Labels,
     pub(crate) source: usize,
     pub(crate) sink: usize,
-    /// Arc id of `source → worker w`.
-    source_arcs: Vec<u32>,
-    /// Arc id of `worker(e) → task(e)` for edge `e`.
-    edge_arcs: Vec<u32>,
-    /// Arc id of `task t → sink`.
-    sink_arcs: Vec<u32>,
-    /// Forward-arc capacities of the empty (zero-flow) network.
-    base_cap: Vec<u32>,
-    has_prior: bool,
+    n_workers: usize,
+    n_edges: usize,
+    /// Inflow minus outflow per node under the carried pseudo-flow; empty
+    /// until the first [`WarmNet::solve`].
+    excess: Vec<i64>,
+    /// Nodes that took excess, cleared last in, first out. A node may
+    /// still be listed after its excess is gone.
+    pending: Vec<u32>,
+    /// Nodes the current search labelled, reset after it.
+    touched: Vec<u32>,
 }
 
 impl WarmNet {
@@ -93,120 +113,103 @@ impl WarmNet {
         let source = 0usize;
         let sink = 1 + n_w + n_t;
         let mut net = CostFlow::new(sink + 1);
-        net.reserve(n_w + n_t + g.n_edges());
-        let mut source_arcs = Vec::with_capacity(n_w);
+        net.reserve(n_w + n_t + g.n_edges() + 1);
         for w in g.workers() {
-            source_arcs.push(net.add_arc(source, 1 + w.index(), g.capacity(w), 0));
+            net.add_arc(source, 1 + w.index(), g.capacity(w), 0);
         }
-        let mut edge_arcs = vec![NONE; g.n_edges()];
         for e in g.edges() {
-            edge_arcs[e.index()] = net.add_arc(
-                1 + g.worker_of(e).index(),
-                1 + n_w + g.task_of(e).index(),
-                1,
-                0,
-            );
+            let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
+            net.add_arc(1 + w, 1 + n_w + t, 1, 0);
         }
-        let mut sink_arcs = Vec::with_capacity(n_t);
         for t in g.tasks() {
-            sink_arcs.push(net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0));
+            net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0);
         }
-        let base_cap = net.cap.clone();
+        net.add_arc(sink, source, 0, 0);
         WarmNet {
             labels: Labels::new(net.n_nodes),
             net,
             source,
             sink,
-            source_arcs,
-            edge_arcs,
-            sink_arcs,
-            base_cap,
-            has_prior: false,
+            n_workers: n_w,
+            n_edges: g.n_edges(),
+            excess: Vec::new(),
+            pending: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    /// Whether the next solve will attempt a warm start.
-    pub fn has_prior(&self) -> bool {
-        self.has_prior
-    }
-
     /// Exact free-cardinality maximum-weight b-matching on the fixed
-    /// topology, warm-started from `seed` (the previous matching) when
-    /// the carried dual state is still valid.
+    /// topology, repaired from the net's carried optimum (see the
+    /// [module docs](self)).
     ///
-    /// `weights` must be finite and non-negative; `seed` must be
-    /// feasible on `g` (edges within capacity/demand). Returns the
-    /// optimal matching and [`WarmStats`]. On `ctl` interruption the
-    /// matching is a feasible prefix and `completed` is `false`.
+    /// `weights` must be finite and non-negative. Returns the optimal
+    /// matching — every edge carrying flow, zero-profit ones included — or
+    /// `None` when `ctl` cut the repair off; the next call resumes it.
     pub fn solve(
         &mut self,
         g: &BipartiteGraph,
         weights: &[f64],
-        seed: &Matching,
         ctl: &SolveCtl,
-    ) -> (Matching, WarmStats) {
-        assert_eq!(g.n_edges(), self.edge_arcs.len(), "graph topology changed");
-        self.set_costs(weights);
-        // Try the warm path: seed the previous matching as flow and keep
-        // the carried potentials if the reduced-cost invariant survived
-        // the weight drift; refit them otherwise.
-        let mut warm = self.has_prior && self.seed_flow(g, seed);
-        if warm && !self.net.reduced_costs_ok(&self.labels.pi) {
-            warm = self.refit_potentials();
-        }
-        let (free, dijkstra) = (FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-        let (mut result, mut completed) = if warm {
-            let (source, sink) = (self.source, self.sink);
-            self.net
-                .ssp(&mut self.labels, source, sink, free, dijkstra, ctl)
+    ) -> (Option<Matching>, WarmStats) {
+        assert_eq!(g.n_edges(), self.n_edges, "graph topology changed");
+        let warm = !self.excess.is_empty();
+        let changed = if warm {
+            self.rewrite_costs(weights)
         } else {
-            self.cold(free, dijkstra, ctl)
+            self.prime(weights);
+            self.n_edges as u64
         };
-        // A warm seed can over-commit flow the drifted weights no longer
-        // justify, and forward augmentation cannot retract it. The audit
-        // detects the profitable de-augmentation; a cold redo (immune by
-        // convexity) repairs it.
-        let audited_cold = completed && warm && !self.deaugmentation_audit();
-        if audited_cold {
-            warm = false;
-            let (redo, redo_completed) = self.cold(free, dijkstra, ctl);
-            result.iterations += redo.iterations;
-            completed = redo_completed;
-        }
-        self.has_prior = completed;
-        let (m, profit) = self.matching(g);
-        let stats = WarmStats {
+        let (iterations, completed) = self.clear_imbalances(ctl);
+        mbta_telemetry::counter_add("mbta_matching_mcmf_augmenting_paths_total", iterations);
+        let mut stats = WarmStats {
             warm,
-            audited_cold,
-            iterations: result.iterations,
-            profit,
+            changed,
+            iterations,
+            profit: 0,
             completed,
         };
-        (m, stats)
+        if !completed {
+            return (None, stats);
+        }
+        // Only potential differences matter; anchoring the source at 0
+        // keeps the carried values from drifting over a long run.
+        let anchor = self.labels.pi[self.source];
+        self.labels.pi.iter_mut().for_each(|p| *p -= anchor);
+        let (m, profit) = self.matching(g);
+        stats.profit = profit;
+        (Some(m), stats)
+    }
+
+    /// The net's potentials as an optimality certificate for the matching
+    /// its last completed [`solve`](Self::solve) returned.
+    pub fn certificate(&self) -> Certificate {
+        Certificate {
+            potentials: self.labels.pi.clone(),
+        }
+    }
+
+    /// Arc id of edge `e`'s `worker → task` arc.
+    fn edge_arc(&self, e: usize) -> usize {
+        2 * (self.n_workers + e)
     }
 
     /// Rewrites the edge arcs' costs in place: `-profit`, twin `+profit`.
     pub(crate) fn set_costs(&mut self, weights: &[f64]) {
-        assert_eq!(
-            weights.len(),
-            self.edge_arcs.len(),
-            "weight slice length mismatch"
-        );
-        for (&a, &w) in self.edge_arcs.iter().zip(weights) {
-            let profit = benefit_to_profit(w);
-            self.net.cost[a as usize] = -profit;
-            self.net.cost[(a ^ 1) as usize] = profit;
+        assert_eq!(weights.len(), self.n_edges, "weight slice length mismatch");
+        for (e, &w) in weights.iter().enumerate() {
+            let (a, profit) = (self.edge_arc(e), benefit_to_profit(w));
+            self.net.cost[a] = -profit;
+            self.net.cost[a ^ 1] = profit;
         }
     }
 
-    /// A cold solve on the current costs: zero flow, fresh potentials.
+    /// A cold solve on the current costs from a fresh net's zero flow.
     pub(crate) fn cold(
         &mut self,
         mode: FlowMode,
         algo: PathAlgo,
         ctl: &SolveCtl,
     ) -> (FlowResult, bool) {
-        self.net.cap.copy_from_slice(&self.base_cap);
         let lb = &mut self.labels;
         self.net
             .run_from(lb, self.source, self.sink, mode, algo, ctl)
@@ -217,28 +220,26 @@ impl WarmNet {
     pub(crate) fn matching(&self, g: &BipartiteGraph) -> (Matching, i64) {
         let edges: Vec<_> = g
             .edges()
-            .filter(|e| self.net.flow(self.edge_arcs[e.index()]) > 0)
+            .filter(|e| self.net.cap[self.edge_arc(e.index()) ^ 1] > 0)
             .collect();
         let profit = edges
             .iter()
-            .map(|e| -self.net.cost[self.edge_arcs[e.index()] as usize])
+            .map(|e| -self.net.cost[self.edge_arc(e.index())])
             .sum();
         (Matching::from_edges(edges), profit)
     }
 
-    /// Applies `seed` as a feasible flow on the empty network. Returns
-    /// `false` (leaving the flow partially applied) if the seed violates a
-    /// capacity, which only happens on a caller bug; the warm path then
-    /// degrades to cold rather than panicking.
-    pub(crate) fn seed_flow(&mut self, g: &BipartiteGraph, seed: &Matching) -> bool {
-        self.net.cap.copy_from_slice(&self.base_cap);
-        for &e in &seed.edges {
-            if e.index() >= self.edge_arcs.len() {
+    /// Applies `m` as a flow on a fresh net (the verifier's view of a
+    /// matching). Returns `false`, leaving the flow partially applied, if
+    /// `m` overfills an edge, worker or task.
+    pub(crate) fn apply_flow(&mut self, g: &BipartiteGraph, m: &Matching) -> bool {
+        for &e in &m.edges {
+            if e.index() >= self.n_edges {
                 return false;
             }
-            let ea = self.edge_arcs[e.index()] as usize;
-            let sa = self.source_arcs[g.worker_of(e).index()] as usize;
-            let ta = self.sink_arcs[g.task_of(e).index()] as usize;
+            let ea = self.edge_arc(e.index());
+            let sa = 2 * g.worker_of(e).index();
+            let ta = 2 * (self.n_workers + self.n_edges + g.task_of(e).index());
             if self.net.cap[ea] < 1 || self.net.cap[sa] < 1 || self.net.cap[ta] < 1 {
                 return false;
             }
@@ -250,83 +251,212 @@ impl WarmNet {
         true
     }
 
-    /// Pushes flow around the negative residual cycle that the parent
-    /// chain of `trigger` leads into, removing it from the graph. Each
-    /// cancellation strictly improves the flow's cost at constant value.
-    fn cancel_cycle(&mut self, trigger: usize) {
-        // Walk the parent chain until a node repeats: that node is on
-        // the cycle (the chain can have a tail leading into it).
-        let (net, parent) = (&mut self.net, &self.labels.parent);
-        let tail_of = |net: &CostFlow, a: u32| net.head[(a ^ 1) as usize] as usize;
-        let mut seen = vec![false; net.n_nodes];
-        let mut u = trigger;
-        while !seen[u] {
-            seen[u] = true;
-            u = tail_of(net, parent[u]);
-        }
-        let start = u;
-        let mut arcs = Vec::new();
-        let mut bottleneck = u32::MAX;
-        loop {
-            let a = parent[u];
-            arcs.push(a);
-            bottleneck = bottleneck.min(net.cap[a as usize]);
-            u = tail_of(net, a);
-            if u == start {
-                break;
-            }
-        }
-        for a in arcs {
-            net.cap[a as usize] -= bottleneck;
-            net.cap[(a ^ 1) as usize] += bottleneck;
-        }
-    }
-
-    /// How many negative-cycle cancellations a warm start will attempt
-    /// before giving up and going cold. Small drift produces zero to a
-    /// handful of cycles; a seed that needs more repair than this is
-    /// cheaper to re-solve from scratch.
-    const MAX_CYCLE_CANCELS: usize = 16;
-
-    /// Repairs the seeded flow to min-cost-for-its-value and recomputes
-    /// globally valid potentials: cancel negative residual cycles until
-    /// none remain, then adopt the converged Bellman–Ford labels as
-    /// potentials. Returns `false` (caller goes cold) when the seed
-    /// needs more repair than [`Self::MAX_CYCLE_CANCELS`] allows.
-    fn refit_potentials(&mut self) -> bool {
-        for _ in 0..=Self::MAX_CYCLE_CANCELS {
-            let lb = &mut self.labels;
-            let ctl = &SolveCtl::unlimited();
-            match self
-                .net
-                .bellman_ford(None, true, &mut lb.dist, &mut lb.parent, ctl)
-            {
-                Relaxed::Converged => {
-                    lb.pi.copy_from_slice(&lb.dist);
-                    return true;
-                }
-                Relaxed::Cycle(node) => self.cancel_cycle(node),
-                Relaxed::Stopped => return false,
-            }
-        }
-        false
-    }
-
-    /// Post-solve audit: is there a sink → source residual path with
-    /// negative true cost (i.e. would *removing* flow increase profit)?
-    /// Runs the guarded Bellman–Ford on raw residual costs so it is
-    /// sound without trusting the potentials; a detected negative cycle
-    /// also fails the audit (the flow is not min-cost for its value).
-    /// Returns `true` when the flow value is certified optimal.
-    fn deaugmentation_audit(&mut self) -> bool {
+    /// The first incremental solve's start: a fresh net's empty flow on
+    /// `weights`, the circulation arc saturated to the total worker
+    /// capacity (all excess at the source, all deficit at the sink), and
+    /// potentials read off in one pass. With the circulation arc saturated
+    /// the residual network is acyclic, and `π = 0` on source and workers,
+    /// `π[t]` = the cheapest arc into task `t`, `π[sink]` = the least of
+    /// all, makes every residual reduced cost non-negative.
+    fn prime(&mut self, weights: &[f64]) {
+        self.set_costs(weights);
+        let net = &mut self.net;
+        let total = (0..self.n_workers)
+            .map(|w| net.cap[2 * w])
+            .fold(0u32, u32::saturating_add);
+        // Saturated: no residual capacity forward, `total` units of flow.
+        let circulation = net.cap.len() - 2;
+        net.cap[circulation + 1] = total;
+        self.excess = vec![0; net.n_nodes];
+        self.excess[self.source] = i64::from(total);
+        self.excess[self.sink] = -i64::from(total);
+        self.pending.clear();
+        self.pending.push(self.source as u32);
         let lb = &mut self.labels;
-        let ctl = &SolveCtl::unlimited();
-        match self
-            .net
-            .bellman_ford(Some(self.sink), true, &mut lb.dist, &mut lb.parent, ctl)
-        {
-            Relaxed::Converged => lb.dist[self.source] >= 0,
-            Relaxed::Cycle(_) | Relaxed::Stopped => false,
+        lb.pi.fill(0);
+        lb.dist.fill(INF);
+        lb.parent.fill(NONE);
+        for e in 0..self.n_edges {
+            let a = 2 * (self.n_workers + e); // `edge_arc`, with `net` borrowed
+            let t = net.head[a] as usize;
+            lb.pi[t] = lb.pi[t].min(net.cost[a]);
+        }
+        lb.pi[self.sink] = lb.pi.iter().copied().min().unwrap_or(0);
+    }
+
+    /// Rewrites the costs that changed and repairs every residual arc the
+    /// change turned negative. Returns the number of changed arcs.
+    fn rewrite_costs(&mut self, weights: &[f64]) -> u64 {
+        assert_eq!(weights.len(), self.n_edges, "weight slice length mismatch");
+        let mut changed = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            let a = self.edge_arc(i);
+            let cost = -benefit_to_profit(w);
+            if cost == self.net.cost[a] {
+                continue;
+            }
+            changed += 1;
+            self.net.cost[a] = cost;
+            self.net.cost[a ^ 1] = -cost;
+            // Unit capacity: exactly one arc of the pair is residual.
+            self.repair(if self.net.cap[a] > 0 { a } else { a ^ 1 });
+        }
+        changed
+    }
+
+    /// Restores a non-negative reduced cost on residual arc `b` (`x → y`):
+    /// raise `π[x]` or lower `π[y]` when no other residual arc at that node
+    /// is tighter than the violation, else push `b`'s unit of flow, leaving
+    /// excess at `y` and deficit at `x`.
+    fn repair(&mut self, b: usize) {
+        let (x, y) = (self.net.head[b ^ 1] as usize, self.net.head[b] as usize);
+        let pi = &self.labels.pi;
+        let need = -(self.net.cost[b] + pi[x] - pi[y]);
+        if need <= 0 {
+            return;
+        }
+        if self.slack(x, true) >= need {
+            self.labels.pi[x] += need;
+        } else if self.slack(y, false) >= need {
+            self.labels.pi[y] -= need;
+        } else {
+            self.net.cap[b] -= 1;
+            self.net.cap[b ^ 1] += 1;
+            self.excess[x] -= 1;
+            self.excess[y] += 1;
+            if self.excess[y] > 0 {
+                self.pending.push(y as u32);
+            }
+        }
+    }
+
+    /// The least reduced cost over the residual arcs into `v` (`incoming`)
+    /// or out of it; `i64::MAX` when there are none.
+    fn slack(&self, v: usize, incoming: bool) -> i64 {
+        let (net, pi) = (&self.net, &self.labels.pi);
+        let mut least = i64::MAX;
+        let mut a = net.first[v];
+        while a != NONE {
+            let arc = (if incoming { a ^ 1 } else { a }) as usize;
+            if net.cap[arc] > 0 {
+                let (from, to) = (net.head[arc ^ 1] as usize, net.head[arc] as usize);
+                least = least.min(net.cost[arc] + pi[from] - pi[to]);
+            }
+            a = net.next[a as usize];
+        }
+        least
+    }
+
+    /// Clears the pending imbalances one nearest-deficit search at a time.
+    /// Returns `(paths, completed)`; `completed` is `false` when `ctl`
+    /// stopped the repair before every imbalance was cleared.
+    fn clear_imbalances(&mut self, ctl: &SolveCtl) -> (u64, bool) {
+        let mut paths = 0;
+        while let Some(&x) = self.pending.last() {
+            let x = x as usize;
+            if self.excess[x] <= 0 {
+                self.pending.pop();
+                continue;
+            }
+            if ctl.stop_requested() {
+                return (paths, false);
+            }
+            let found = self.nearest_deficit(x, ctl);
+            if let Some(y) = found {
+                self.push_path(x, y);
+                paths += 1;
+            }
+            let lb = &mut self.labels;
+            for &v in &self.touched {
+                lb.dist[v as usize] = INF;
+                lb.parent[v as usize] = NONE;
+            }
+            self.touched.clear();
+            lb.heap.clear();
+            if found.is_none() {
+                // Either `ctl` stopped the search, or — impossible while
+                // the empty flow is feasible — no deficit was reachable.
+                debug_assert!(ctl.stop_requested(), "excess with no reachable deficit");
+                return (paths, false);
+            }
+        }
+        (paths, true)
+    }
+
+    /// Dijkstra on reduced costs from excess node `from`, stopping when it
+    /// settles a deficit node, which it returns; `None` when `ctl` stopped
+    /// it. Every labelled node is listed in `touched`.
+    fn nearest_deficit(&mut self, from: usize, ctl: &SolveCtl) -> Option<usize> {
+        let net = &self.net;
+        let Labels {
+            pi,
+            dist,
+            parent,
+            heap,
+        } = &mut self.labels;
+        dist[from] = 0;
+        self.touched.push(from as u32);
+        heap.push_or_decrease(from, 0);
+        while let Some((v, dv)) = heap.pop() {
+            if self.excess[v] < 0 {
+                return Some(v);
+            }
+            if ctl.should_stop() {
+                return None;
+            }
+            let mut a = net.first[v];
+            while a != NONE {
+                let ai = a as usize;
+                if net.cap[ai] > 0 {
+                    let to = net.head[ai] as usize;
+                    let red = net.cost[ai] + pi[v] - pi[to];
+                    debug_assert!(red >= 0, "negative reduced cost {red}");
+                    let nd = dv + red;
+                    if nd < dist[to] {
+                        if dist[to] == INF {
+                            self.touched.push(to as u32);
+                        }
+                        dist[to] = nd;
+                        parent[to] = a;
+                        heap.push_or_decrease(to, nd);
+                    }
+                }
+                a = net.next[ai];
+            }
+        }
+        None
+    }
+
+    /// Moves as much of `from`'s excess to `to`'s deficit as the search's
+    /// path carries, then shifts the potentials of the nodes the search
+    /// settled closer than `to` by `dist − dist[to]`. Every other labelled
+    /// node is at least as far as `to`, so reduced costs stay non-negative
+    /// and the path's arcs become tight.
+    fn push_path(&mut self, from: usize, to: usize) {
+        let (net, lb) = (&mut self.net, &mut self.labels);
+        let mut amount = self.excess[from].min(-self.excess[to]);
+        let mut v = to;
+        while v != from {
+            let a = lb.parent[v] as usize;
+            amount = amount.min(i64::from(net.cap[a]));
+            v = net.head[a ^ 1] as usize;
+        }
+        let unit = amount as u32;
+        let mut v = to;
+        while v != from {
+            let a = lb.parent[v] as usize;
+            net.cap[a] -= unit;
+            net.cap[a ^ 1] += unit;
+            v = net.head[a ^ 1] as usize;
+        }
+        self.excess[from] -= amount;
+        self.excess[to] += amount;
+        let d = lb.dist[to];
+        for &v in &self.touched {
+            let dv = lb.dist[v as usize];
+            if dv < d {
+                lb.pi[v as usize] += dv - d;
+            }
         }
     }
 }
@@ -334,7 +464,7 @@ impl WarmNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
+    use crate::mcmf::{max_weight_bmatching, verify_certificate, FlowMode, PathAlgo};
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
     use mbta_util::fixed::objectives_close;
 
@@ -356,79 +486,79 @@ mod tests {
         }
     }
 
+    fn cold_profit(g: &BipartiteGraph, w: &[f64]) -> i64 {
+        max_weight_bmatching(g, w, FlowMode::FreeCardinality, PathAlgo::Dijkstra)
+            .1
+            .profit
+    }
+
+    fn spec(n_workers: usize, n_tasks: usize, capacity: u32, demand: u32) -> RandomGraphSpec {
+        RandomGraphSpec {
+            n_workers,
+            n_tasks,
+            avg_degree: 5.0,
+            capacity,
+            demand,
+        }
+    }
+
     #[test]
-    fn warm_matches_cold_across_drift_rounds() {
+    fn repairs_match_cold_across_drift_rounds() {
         for seed in 0..8 {
-            let g = random_bipartite(
-                &RandomGraphSpec {
-                    n_workers: 40,
-                    n_tasks: 25,
-                    avg_degree: 5.0,
-                    capacity: 2,
-                    demand: 2,
-                },
-                seed,
-            );
+            let g = random_bipartite(&spec(40, 25, 2, 2), seed);
             let mut w = weights_of(&g, 0.5);
             let mut net = WarmNet::new(&g);
-            let mut prev = Matching::from_edges(Vec::new());
-            let mut warm_hits = 0;
             for round in 0..6 {
-                let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
+                let (m, stats) = net.solve(&g, &w, &SolveCtl::unlimited());
+                let m = m.expect("an unlimited repair completes");
                 m.validate(&g).unwrap();
                 assert!(stats.completed);
-                let (_, cold) =
-                    max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+                assert_eq!(stats.warm, round > 0, "only the first solve is cold");
                 assert_eq!(
-                    stats.profit, cold.profit,
-                    "seed {seed} round {round}: warm profit diverged from cold"
+                    stats.profit,
+                    cold_profit(&g, &w),
+                    "seed {seed} round {round}: repaired profit diverged from cold"
                 );
-                warm_hits += u32::from(stats.warm);
-                prev = m;
+                assert!(verify_certificate(&g, &w, &m, &net.certificate()));
                 drift(&mut w, round, 0.05);
             }
-            assert!(
-                warm_hits >= 1,
-                "seed {seed}: small drift never produced a warm hit"
-            );
         }
     }
 
     #[test]
     fn large_drift_still_exact() {
-        // Violent drift defeats the carried potentials constantly; the
-        // result must stay exact via the cold fallback.
         for seed in 0..5 {
-            let g = random_bipartite(
-                &RandomGraphSpec {
-                    n_workers: 25,
-                    n_tasks: 20,
-                    avg_degree: 4.0,
-                    capacity: 1,
-                    demand: 2,
-                },
-                seed,
-            );
+            let g = random_bipartite(&spec(25, 20, 1, 2), seed);
             let mut w = weights_of(&g, 0.5);
             let mut net = WarmNet::new(&g);
-            let mut prev = Matching::from_edges(Vec::new());
             for round in 0..5 {
                 drift(&mut w, round * 31 + seed, 0.9);
-                let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
-                m.validate(&g).unwrap();
-                let (_, cold) =
-                    max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-                assert_eq!(stats.profit, cold.profit, "seed {seed} round {round}");
-                prev = m;
+                let (m, stats) = net.solve(&g, &w, &SolveCtl::unlimited());
+                m.unwrap().validate(&g).unwrap();
+                assert_eq!(
+                    stats.profit,
+                    cold_profit(&g, &w),
+                    "seed {seed} round {round}"
+                );
             }
         }
     }
 
     #[test]
-    fn deaugmentation_is_detected() {
-        // Seed a matching that becomes unprofitable: after the drift the
-        // optimal matching is *smaller* than the seed, which forward
-        // augmentation alone cannot reach.
+    fn unchanged_weights_change_nothing() {
+        let g = random_bipartite(&spec(30, 20, 2, 2), 3);
+        let w = weights_of(&g, 0.5);
+        let mut net = WarmNet::new(&g);
+        let (first, _) = net.solve(&g, &w, &SolveCtl::unlimited());
+        let (again, stats) = net.solve(&g, &w, &SolveCtl::unlimited());
+        assert_eq!(first.unwrap().edges, again.unwrap().edges);
+        assert_eq!((stats.changed, stats.iterations), (0, 0));
+    }
+
+    #[test]
+    fn flow_value_can_drop() {
+        // After the drift the optimum holds fewer edges than the carried
+        // flow, so the repair must route flow back over source → sink.
         use mbta_graph::random::from_edges;
         let g = from_edges(
             &[1, 1],
@@ -436,54 +566,16 @@ mod tests {
             &[(0, 0, 0.9, 0.9), (0, 1, 0.8, 0.8), (1, 0, 0.7, 0.7)],
         );
         let mut net = WarmNet::new(&g);
-        // Round 1: all edges valuable; optimum takes the 0.8+0.7 pair.
-        let w1 = vec![0.9, 0.8, 0.7];
-        let (m1, s1) = net.solve(
-            &g,
-            &w1,
-            &Matching::from_edges(Vec::new()),
-            &SolveCtl::unlimited(),
-        );
-        assert_eq!(m1.len(), 2);
+        let (m1, s1) = net.solve(&g, &[0.9, 0.8, 0.7], &SolveCtl::unlimited());
+        assert_eq!(m1.unwrap().len(), 2);
         assert!(s1.completed);
-        // Round 2: the pair collapses to zero weight; only edge 0 is
-        // worth keeping, so the optimum has fewer edges than the seed.
-        let w2 = vec![0.9, 0.0, 0.0];
-        let (m2, s2) = net.solve(&g, &w2, &m1, &SolveCtl::unlimited());
+        let w2 = [0.9, 0.0, 0.0];
+        let (m2, s2) = net.solve(&g, &w2, &SolveCtl::unlimited());
+        let m2 = m2.unwrap();
         m2.validate(&g).unwrap();
-        assert!(s2.completed);
-        let (_, cold) =
-            max_weight_bmatching(&g, &w2, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-        assert_eq!(s2.profit, cold.profit, "zero-drift optimum not recovered");
-        // Weight, not cardinality, is what must match the cold solve:
+        assert_eq!(s2.profit, cold_profit(&g, &w2));
         let chosen: f64 = m2.edges.iter().map(|e| w2[e.index()]).sum();
         assert!(objectives_close(chosen, 0.9, 4));
-    }
-
-    #[test]
-    fn infeasible_seed_degrades_to_cold() {
-        use mbta_graph::random::from_edges;
-        let g = from_edges(&[1], &[1, 1], &[(0, 0, 0.5, 0.5), (0, 1, 0.6, 0.6)]);
-        let w = vec![0.5, 0.6];
-        let mut net = WarmNet::new(&g);
-        // Prime the carried state so the warm path is attempted.
-        let (m, _) = net.solve(
-            &g,
-            &w,
-            &Matching::from_edges(Vec::new()),
-            &SolveCtl::unlimited(),
-        );
-        assert_eq!(m.len(), 1);
-        // An over-capacity seed (both edges on the cap-1 worker).
-        let bad = Matching::from_edges(g.edges().collect());
-        let (m2, stats) = net.solve(&g, &w, &bad, &SolveCtl::unlimited());
-        m2.validate(&g).unwrap();
-        assert!(!stats.warm, "over-capacity seed must not warm-start");
-        assert!(objectives_close(
-            m2.edges.iter().map(|e| w[e.index()]).sum::<f64>(),
-            0.6,
-            4
-        ));
     }
 
     #[test]
@@ -491,36 +583,48 @@ mod tests {
         use mbta_graph::random::from_edges;
         let g = from_edges(&[], &[], &[]);
         let mut net = WarmNet::new(&g);
-        let (m, stats) = net.solve(
-            &g,
-            &[],
-            &Matching::from_edges(Vec::new()),
-            &SolveCtl::unlimited(),
-        );
-        assert!(m.is_empty());
+        let (m, stats) = net.solve(&g, &[], &SolveCtl::unlimited());
+        assert!(m.unwrap().is_empty());
         assert_eq!(stats.profit, 0);
         assert!(stats.completed);
     }
 
+    /// An expired deadline stops the repair before its next search, even
+    /// when the amortized in-search check would never fire.
     #[test]
-    fn interruption_is_reported_and_state_invalidated() {
-        let g = random_bipartite(
-            &RandomGraphSpec {
-                n_workers: 30,
-                n_tasks: 20,
-                avg_degree: 5.0,
-                capacity: 2,
-                demand: 2,
-            },
-            7,
-        );
+    fn expired_deadline_stops_after_at_most_one_search() {
+        let g = random_bipartite(&spec(60, 40, 2, 2), 7);
+        let mut w = weights_of(&g, 0.5);
+        let mut net = WarmNet::new(&g);
+        net.solve(&g, &w, &SolveCtl::unlimited());
+        drift(&mut w, 1, 0.9);
+        let expired = mbta_util::Deadline::after_ms(0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let ctl = SolveCtl::unlimited().with_deadline(expired);
+        let (m, stats) = net.solve(&g, &w, &ctl);
+        assert!(m.is_none() && !stats.completed, "{stats:?}");
+        assert!(stats.iterations <= 1, "{stats:?}");
+        // The cut-off repair resumes rather than restarting.
+        let (m, stats) = net.solve(&g, &w, &SolveCtl::unlimited());
+        assert!(stats.completed && stats.warm);
+        assert_eq!(stats.changed, 0, "the costs were already rewritten");
+        m.unwrap().validate(&g).unwrap();
+        assert_eq!(stats.profit, cold_profit(&g, &w));
+    }
+
+    #[test]
+    fn cancelled_first_solve_resumes_to_the_optimum() {
+        let g = random_bipartite(&spec(30, 20, 2, 2), 11);
         let w = weights_of(&g, 0.5);
         let mut net = WarmNet::new(&g);
         let token = mbta_util::CancelToken::new();
         token.cancel();
         let ctl = SolveCtl::unlimited().with_token(token);
-        let (_, stats) = net.solve(&g, &w, &Matching::from_edges(Vec::new()), &ctl);
-        assert!(!stats.completed);
-        assert!(!net.has_prior(), "interrupted solve must not carry state");
+        let (m, stats) = net.solve(&g, &w, &ctl);
+        assert!(m.is_none());
+        assert_eq!((stats.completed, stats.iterations), (false, 0));
+        let (m, stats) = net.solve(&g, &w, &SolveCtl::unlimited());
+        assert!(m.is_some() && stats.completed);
+        assert_eq!(stats.profit, cold_profit(&g, &w));
     }
 }

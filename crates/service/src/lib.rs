@@ -33,10 +33,10 @@
 //!   record). See DESIGN.md §13.
 //! * [`online`] — the per-event decision path (`--online`): greedy
 //!   repair plus a depth-1 exchange on every event, per-shard drift
-//!   accounting, and a warm-started exact fallback on a per-shard
-//!   `mbta_matching::warm::WarmNet` when drift crosses the configured
-//!   threshold. Sub-millisecond median decision latency, journaled as
-//!   one WAL record per deciding event. See DESIGN.md §14.
+//!   accounting, and an exact fallback on the shard's `WarmNet` (shared
+//!   with batch dispatch) when drift crosses the configured threshold.
+//!   Sub-millisecond median decision latency, journaled as one WAL
+//!   record per deciding event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is
 //!   byte-identical across replays under deterministic budgets.
 //! * [`report`] — end-of-run telemetry: throughput, batch-latency

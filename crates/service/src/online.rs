@@ -17,9 +17,9 @@
 //!   accrue nothing.
 //! * **Warm fallback** — when a shard's accumulated drift exceeds
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
-//!   shard re-solves exactly on its own `mbta_matching::warm::WarmNet`,
-//!   seeded with the shard's current matching and carrying node
-//!   potentials across solves, then the accumulator resets.
+//!   shard's `mbta_matching::warm::WarmNet` (shared with batch dispatch)
+//!   repairs its optimum for the weight changes since its last solve (a
+//!   budget cut-off resumes at the next one); the accumulator resets.
 //!
 //! Decisions come out of the assignment's flip log (`net_flips` folds
 //! eviction/re-add churn by parity), are journaled as one
@@ -27,11 +27,9 @@
 //! through `mbta_store::recover` exactly like batch records. See
 //! DESIGN.md §14 for the full contract.
 
-use crate::shard::ShardPlan;
 use crate::sink::{canonical_order, Action, Decision};
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_graph::EdgeId;
-use mbta_matching::warm::WarmNet;
 
 /// Tunables for the per-event online decision path.
 ///
@@ -72,20 +70,14 @@ impl OnlineConfig {
     }
 }
 
-/// Per-shard online state: the shard's exact flow network, kept across
-/// fallbacks, and the drift accumulator that decides when to use it.
-pub(crate) struct ShardOnline {
-    pub warm: WarmNet,
-    pub acc: f64,
-}
-
-/// The service's online-mode runtime: per-shard warm/drift state plus
-/// the pooled per-event buffers. It is rebuilt for every plan's topology;
-/// the online run counters live in the service's run state, which a
-/// re-plan carries over whole.
+/// The service's online-mode runtime: per-shard drift accumulators plus
+/// the pooled per-event buffers. It is rebuilt for every plan; the online
+/// run counters live in the service's run state, which a re-plan carries
+/// over whole, and the shards' flow networks in the service itself.
 pub(crate) struct OnlineRuntime {
     pub cfg: OnlineConfig,
-    pub shards: Vec<ShardOnline>,
+    /// Per-shard drift accumulated since the shard's last fallback.
+    pub acc: Vec<f64>,
     /// Pooled per-event buffers (see [`OnlineScratch`]).
     pub scratch: OnlineScratch,
 }
@@ -152,19 +144,12 @@ impl OnlineScratch {
 }
 
 impl OnlineRuntime {
-    /// Fresh runtime for a plan: one flow network per shard topology.
-    pub fn new(cfg: OnlineConfig, plan: &ShardPlan) -> Self {
+    /// Fresh runtime for a plan of `n_shards` shards.
+    pub fn new(cfg: OnlineConfig, n_shards: usize) -> Self {
         cfg.validate();
         OnlineRuntime {
             cfg,
-            shards: plan
-                .shards
-                .iter()
-                .map(|slice| ShardOnline {
-                    warm: WarmNet::new(&slice.sub.graph),
-                    acc: 0.0,
-                })
-                .collect(),
+            acc: vec![0.0; n_shards],
             scratch: OnlineScratch::default(),
         }
     }
@@ -172,7 +157,7 @@ impl OnlineRuntime {
     /// Whether shard `s`'s drift accumulator has crossed the fallback
     /// line for a shard currently holding `shard_weight` assigned value.
     pub fn fallback_due(&self, s: usize, shard_weight: f64) -> bool {
-        self.shards[s].acc > self.cfg.drift_threshold * shard_weight.max(1.0)
+        self.acc[s] > self.cfg.drift_threshold * shard_weight.max(1.0)
     }
 }
 

@@ -7,13 +7,13 @@
 //! `crossbeam` scoped threads + MPMC channels), with three properties the
 //! dispatch loop depends on:
 //!
-//! 1. **Work stealing, largest first.** Jobs are sorted by estimated size
-//!    (sub-market edge count) descending and dealt round-robin onto
-//!    per-thread deques. A worker pops its own deque from the front; when
-//!    it runs dry it steals from a sibling's back. Largest-first ordering
-//!    is the classic LPT schedule: the big solves start immediately and
-//!    the small ones pack around them, so the makespan stays close to the
-//!    `max(job)` lower bound.
+//! 1. **Work stealing, largest first.** Jobs are sorted by sub-market
+//!    edge count descending and dealt round-robin onto per-thread deques.
+//!    A worker pops its own deque from the front; when it runs dry it
+//!    steals from a sibling's back. Largest-first ordering is the classic
+//!    LPT schedule: the big solves start immediately and the small ones
+//!    pack around them, so the makespan stays close to the `max(job)`
+//!    lower bound.
 //! 2. **Deterministic merge.** Workers race, but results are collected
 //!    over a channel and re-sorted by shard index before they are handed
 //!    back, so the caller applies them in exactly the order the
@@ -22,9 +22,12 @@
 //!    byte-identical to `--threads 1` for every `N`.
 //! 3. **Shared budgets.** The pool never splits a batch budget: callers
 //!    put one absolute [`Deadline`](mbta_util::Deadline) into every job's
-//!    [`EngineConfig`], and all shards race that same instant — in
-//!    parallel mode concurrently, in sequential mode with unused budget
-//!    carrying forward to later shards.
+//!    [`SolveCtl`], and all shards race that same instant — in parallel
+//!    mode concurrently, in sequential mode with unused budget carrying
+//!    forward to later shards.
+//!
+//! Each job carries its shard's [`WarmNet`], which keeps the shard's exact
+//! optimum across batches (see `mbta_matching::warm`).
 //!
 //! Telemetry: `mbta_service_pool_queue_depth` (jobs not yet claimed),
 //! `mbta_service_pool_steals_total`, and per-thread
@@ -33,13 +36,16 @@
 
 use mbta_core::engine::{solve_robust, EngineConfig, EngineError, EngineSolution};
 use mbta_graph::BipartiteGraph;
+use mbta_matching::warm::{WarmNet, WarmStats};
+use mbta_matching::Matching;
+use mbta_util::SolveCtl;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// One shard's solve request: everything the engine needs, owned or
-/// immutably borrowed, so the job can move to a worker thread.
+/// One shard's exact re-solve, owned or uniquely borrowed so the job can
+/// move to a worker thread.
 pub struct ShardJob<'g> {
     /// Shard index in the plan (merge key; results come back sorted by it).
     pub shard: usize,
@@ -47,22 +53,21 @@ pub struct ShardJob<'g> {
     pub graph: &'g BipartiteGraph,
     /// Active edge weights for the sub-market (inactive edges weigh 0).
     pub weights: Vec<f64>,
-    /// Engine configuration, including the batch's shared deadline and any
-    /// poison pre-cancellation.
-    pub config: EngineConfig,
-    /// Size estimate used for largest-first scheduling (edge count of the
-    /// sub-market; static, but monotone in actual solve cost).
-    pub est_size: usize,
+    /// The shard's flow network, which the caller keeps between solves.
+    pub net: &'g mut WarmNet,
+    /// The batch's shared deadline, if any.
+    pub ctl: SolveCtl,
 }
 
 /// One shard's solve result, as produced by a pool worker.
 pub struct ShardOutcome {
     /// Shard index the result belongs to.
     pub shard: usize,
-    /// The engine's answer (input errors cannot normally occur here — the
-    /// service validates events at admission — but are surfaced rather
-    /// than swallowed).
-    pub result: Result<EngineSolution, EngineError>,
+    /// The net's optimum minus its zero-weight edges; `None` when the
+    /// repair was cut off (the net resumes it on the next solve).
+    pub matching: Option<Matching>,
+    /// The net's counters for this solve.
+    pub stats: WarmStats,
     /// Wall-clock milliseconds the solve took on its worker.
     pub solve_ms: f64,
 }
@@ -85,22 +90,23 @@ pub struct BatchSolve {
 /// the sequential dispatch path.
 ///
 /// ```
-/// use mbta_core::engine::EngineConfig;
 /// use mbta_graph::random::from_edges;
+/// use mbta_matching::warm::WarmNet;
 /// use mbta_service::pool::{ShardJob, SolvePool};
+/// use mbta_util::SolveCtl;
 ///
 /// let g = from_edges(&[1, 1], &[1, 1], &[(0, 0, 0.9, 0.9), (1, 1, 0.5, 0.5)]);
 /// let pool = SolvePool::new(2);
+/// let mut net = WarmNet::new(&g);
 /// let jobs = vec![ShardJob {
 ///     shard: 0,
 ///     graph: &g,
 ///     weights: vec![0.9, 0.5],
-///     config: EngineConfig::new(),
-///     est_size: g.n_edges(),
+///     net: &mut net,
+///     ctl: SolveCtl::unlimited(),
 /// }];
 /// let batch = pool.solve(jobs);
-/// let sol = batch.outcomes[0].result.as_ref().unwrap();
-/// assert!((sol.value - 1.4).abs() < 1e-6);
+/// assert_eq!(batch.outcomes[0].matching.as_ref().unwrap().len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolvePool {
@@ -126,11 +132,15 @@ impl SolvePool {
         self.threads
     }
 
-    /// Solves a single job inline on the caller's thread — the
-    /// boundary-rescue path, which has exactly one residual market per
-    /// batch and must not pay scoped-thread setup for it.
-    pub fn solve_one(&self, job: ShardJob<'_>) -> ShardOutcome {
-        run_job(job)
+    /// Solves the boundary-rescue market (rebuilt every batch, so no net
+    /// to keep) inline with the robust engine chain.
+    pub fn solve_one(
+        &self,
+        graph: &BipartiteGraph,
+        weights: &[f64],
+        config: &EngineConfig,
+    ) -> Result<EngineSolution, EngineError> {
+        solve_robust(graph, weights, config)
     }
 
     /// Solves every job and returns the outcomes sorted by shard index.
@@ -171,7 +181,7 @@ fn solve_inline(jobs: Vec<ShardJob<'_>>) -> BatchSolve {
 fn solve_stealing(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> BatchSolve {
     // Largest first (ties broken by shard index so the schedule itself is
     // deterministic even though completion order is not).
-    jobs.sort_by(|a, b| b.est_size.cmp(&a.est_size).then(a.shard.cmp(&b.shard)));
+    jobs.sort_by_key(|j| (std::cmp::Reverse(j.graph.n_edges()), j.shard));
     let n_jobs = jobs.len();
     let n_workers = threads.min(n_jobs);
 
@@ -240,13 +250,19 @@ fn solve_stealing(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> BatchSolve {
     }
 }
 
-/// Runs one job on the current thread, timing it.
+/// Runs one job on the current thread, timing it. Edges of weight 0 (how
+/// an inactive endpoint reads) are dropped so the shard's state can adopt
+/// the optimum.
 fn run_job(job: ShardJob<'_>) -> ShardOutcome {
     let start = Instant::now();
-    let result = solve_robust(job.graph, &job.weights, &job.config);
+    let (mut matching, stats) = job.net.solve(job.graph, &job.weights, &job.ctl);
+    if let Some(m) = &mut matching {
+        m.edges.retain(|e| job.weights[e.index()] > 0.0);
+    }
     ShardOutcome {
         shard: job.shard,
-        result,
+        matching,
+        stats,
         solve_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -264,9 +280,10 @@ const _: () = {
 mod tests {
     use super::*;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
-    use mbta_util::{CancelToken, Deadline};
+    use mbta_util::Deadline;
 
-    fn market(seed: u64, workers: usize) -> (BipartiteGraph, Vec<f64>) {
+    /// A random market with its shard net.
+    fn market(seed: u64, workers: usize) -> (BipartiteGraph, Vec<f64>, WarmNet) {
         let g = random_bipartite(
             &RandomGraphSpec {
                 n_workers: workers,
@@ -278,19 +295,23 @@ mod tests {
             seed,
         );
         let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
-        (g, w)
+        let net = WarmNet::new(&g);
+        (g, w, net)
     }
 
-    fn jobs_for<'g>(markets: &'g [(BipartiteGraph, Vec<f64>)]) -> Vec<ShardJob<'g>> {
+    fn jobs_for<'g>(
+        markets: &'g mut [(BipartiteGraph, Vec<f64>, WarmNet)],
+        ctl: &SolveCtl,
+    ) -> Vec<ShardJob<'g>> {
         markets
-            .iter()
+            .iter_mut()
             .enumerate()
-            .map(|(i, (g, w))| ShardJob {
+            .map(|(i, (g, w, net))| ShardJob {
                 shard: i,
                 graph: g,
                 weights: w.clone(),
-                config: EngineConfig::new(),
-                est_size: g.n_edges(),
+                net,
+                ctl: ctl.clone(),
             })
             .collect()
     }
@@ -305,29 +326,30 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential_and_arrive_in_shard_order() {
         // Uneven sizes so largest-first scheduling and stealing both kick in.
-        let markets: Vec<_> = (0..6)
+        let mut m1: Vec<_> = (0..6)
             .map(|i| market(100 + i, 20 + 30 * i as usize))
             .collect();
-        let seq = SolvePool::new(1).solve(jobs_for(&markets));
-        let par = SolvePool::new(4).solve(jobs_for(&markets));
+        let mut m4 = m1.clone();
+        let unlimited = SolveCtl::unlimited();
+        let seq = SolvePool::new(1).solve(jobs_for(&mut m1, &unlimited));
+        let par = SolvePool::new(4).solve(jobs_for(&mut m4, &unlimited));
         assert_eq!(seq.steals, 0, "inline path cannot steal");
         assert_eq!(seq.outcomes.len(), par.outcomes.len());
         for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
             assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
-            let (sa, sb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(sa.tier, sb.tier);
-            assert_eq!(sa.matching.edges, sb.matching.edges, "shard {}", a.shard);
-            assert!((sa.value - sb.value).abs() < 1e-12);
+            let (ma, mb) = (a.matching.as_ref().unwrap(), b.matching.as_ref().unwrap());
+            assert_eq!(ma.edges, mb.edges, "shard {}", a.shard);
+            assert_eq!(a.stats, b.stats);
         }
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
-        let batch = SolvePool::new(8).solve(jobs_for(&markets));
+        let mut markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
+        let batch = SolvePool::new(8).solve(jobs_for(&mut markets, &SolveCtl::unlimited()));
         assert_eq!(batch.outcomes.len(), 2);
         for o in &batch.outcomes {
-            assert!(o.result.is_ok());
+            assert!(o.matching.is_some());
             assert!(o.solve_ms >= 0.0);
         }
     }
@@ -336,39 +358,39 @@ mod tests {
     fn starved_workers_steal() {
         // 8 jobs over 4 workers: deques start with 2 jobs each, and the
         // skewed sizes guarantee some worker drains early and steals.
-        let markets: Vec<_> = (0..8)
+        let mut markets: Vec<_> = (0..8)
             .map(|i| market(50 + i, if i == 0 { 400 } else { 16 }))
             .collect();
         let mut total_steals = 0;
-        for round in 0..5 {
-            let _ = round;
-            total_steals += SolvePool::new(4).solve(jobs_for(&markets)).steals;
+        for _ in 0..5 {
+            let jobs = jobs_for(&mut markets, &SolveCtl::unlimited());
+            total_steals += SolvePool::new(4).solve(jobs).steals;
         }
         assert!(total_steals > 0, "no steal in 5 rounds of a skewed batch");
     }
 
+    /// An expired shared deadline cuts every repair off; the nets keep
+    /// their pseudo-flows and the next, unlimited batch completes them.
     #[test]
-    fn shared_deadline_and_poison_survive_the_pool() {
-        let markets: Vec<_> = (0..4).map(|i| market(9 + i, 60)).collect();
+    fn shared_deadline_survives_the_pool_and_repairs_resume() {
+        let mut markets: Vec<_> = (0..4).map(|i| market(9 + i, 60)).collect();
         let expired = Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let mut jobs = jobs_for(&markets);
-        for job in &mut jobs {
-            job.config = job.config.clone().with_deadline_at(expired);
-        }
-        let poisoned = CancelToken::new();
-        poisoned.cancel();
-        jobs[2].config = jobs[2].config.clone().with_cancel(poisoned);
-        let batch = SolvePool::new(4).solve(jobs);
-        for o in &batch.outcomes {
-            let sol = o.result.as_ref().unwrap();
-            // Expired shared budget: nothing may reach the exact tier.
+        let cut = SolveCtl::unlimited().with_deadline(expired);
+        for o in SolvePool::new(4)
+            .solve(jobs_for(&mut markets, &cut))
+            .outcomes
+        {
             assert!(
-                !sol.exact_completed,
+                o.matching.is_none() && !o.stats.completed,
                 "shard {} ran past an expired shared deadline",
                 o.shard
             );
-            sol.matching.validate(&markets[o.shard].0).unwrap();
+        }
+        let batch = SolvePool::new(4).solve(jobs_for(&mut markets, &SolveCtl::unlimited()));
+        for o in batch.outcomes {
+            assert!(o.stats.completed && o.stats.warm, "shard {}", o.shard);
+            o.matching.unwrap().validate(&markets[o.shard].0).unwrap();
         }
     }
 }

@@ -86,10 +86,9 @@ pub struct ServiceReport {
     pub online_fallbacks: u64,
     /// Depth-1 exchanges that displaced a weaker assigned edge.
     pub online_exchanges: u64,
-    /// Warm-solver re-solves across all shards and plan epochs.
+    /// Online exact re-solves across all shards and plan epochs.
     pub online_warm_solves: u64,
-    /// Warm-solver runs that kept the seeded flow (pure warm or
-    /// cycle-repaired) instead of redoing the solve cold.
+    /// Online re-solves that continued a shard net's carried flow.
     pub online_warm_hits: u64,
     /// Median per-event online decision latency (wall-clock ms).
     pub p50_online_ms: f64,
@@ -98,11 +97,11 @@ pub struct ServiceReport {
     /// Worst per-event online decision latency (ms).
     pub max_online_ms: f64,
 
-    /// Per-shard engine solves executed.
+    /// Per-shard batch solves (a poisoned shard's counts, as degraded).
     pub solves: u64,
     /// Solves that achieved the exact tier.
     pub tier_exact: u64,
-    /// Solves that achieved the approximate tier.
+    /// Approximate-tier solves (none: shard solves are exact or degraded).
     pub tier_approximate: u64,
     /// Solves that degraded to the greedy floor.
     pub tier_degraded: u64,
